@@ -6,11 +6,7 @@ F-polynomials, g-vectors, and Euler-characteristic tables, all cross-checked
 against an independent recursion oracle.
 """
 
-from .caps import (
-    DEFAULT_BRUTEFORCE_EDGE_CAP,
-    DEFAULT_CONFIG_BUDGET,
-    DEFAULT_MAX_EXPONENT,
-)
+from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
 from .cluster import (
     ClusterVariable,
     EulerTable,
@@ -22,17 +18,7 @@ from .cluster import (
     oracle,
     verify_range,
 )
-from .combinat import (
-    Family,
-    PiecePool,
-    bruteforce_poly,
-    build_pool,
-    enumerate_bruteforce,
-    generating_poly,
-    histogram_csv,
-    is_member,
-    stats_histogram,
-)
+from .combinat import PiecePool, build_pool, generating_poly
 from .dyck import (
     Color,
     ColoredSubpath,
@@ -46,7 +32,6 @@ from .dyck import (
 )
 from .errors import (
     AmbiguousGreenError,
-    BruteForceCapError,
     ConfigBudgetError,
     ExponentOverflowError,
     LateGreenError,
@@ -60,19 +45,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousGreenError",
-    "BruteForceCapError",
     "ClusterVariable",
     "Color",
     "ColoredSubpath",
     "ConfigBudgetError",
-    "DEFAULT_BRUTEFORCE_EDGE_CAP",
     "DEFAULT_CONFIG_BUDGET",
     "DEFAULT_MAX_EXPONENT",
     "DimSequence",
     "DyckPath",
     "EulerTable",
     "ExponentOverflowError",
-    "Family",
     "GVector",
     "LaurentPoly2",
     "LateGreenError",
@@ -81,22 +63,17 @@ __all__ = [
     "PoleError",
     "Rank2ClusterError",
     "assert_no_late_greens",
-    "bruteforce_poly",
     "build_path",
     "build_pool",
     "classify",
     "cluster_variable",
     "dim_sequence",
-    "enumerate_bruteforce",
     "euler_table",
     "f_polynomial",
     "g_vector",
     "generating_poly",
-    "histogram_csv",
-    "is_member",
     "oracle",
     "poly_sum",
     "slope_exceeds",
-    "stats_histogram",
     "verify_range",
 ]

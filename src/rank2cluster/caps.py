@@ -11,9 +11,6 @@ import os
 # Largest dimension value / exponent magnitude allowed before OVERFLOW.
 DEFAULT_MAX_EXPONENT = 10**6
 
-# Largest edge count for which the brute-force family stream is allowed.
-DEFAULT_BRUTEFORCE_EDGE_CAP = 22
-
 # Largest number of colored-subpath configurations the aggregator may visit.
 DEFAULT_CONFIG_BUDGET = 10**8
 

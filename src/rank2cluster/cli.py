@@ -1,12 +1,15 @@
 """Command-line front end with deterministic, scriptable output.
 
-Subcommands: expand, fpoly, gvector, euler, verify, path.
+Subcommands: expand, fpoly, gvector, euler, verify, path.  Every subcommand
+takes ``--out``, ``--max-exponent`` (must be positive) and
+``--config-budget``; all but ``verify`` also take the cell ``--r`` and ``--n``.
 
-Exit codes: 0 success, 1 bad arguments or invalid parameters, 2 resource-cap
-breach, 3 engine mismatch or verification failure.  Expected errors print a
-one-line message to stderr, never a stack trace.  The environment variable
-``CLUSTER_COMB_BUDGET`` overrides the default configuration budget; an
-explicit ``--config-budget`` flag wins over both.
+Exit codes: 0 success, 1 bad arguments, invalid parameters or an unwritable
+``--out`` path, 2 resource-cap breach, 3 engine mismatch or verification
+failure.  Expected errors print a one-line message to stderr, never a stack
+trace.  The environment variable ``CLUSTER_COMB_BUDGET`` overrides the
+default configuration budget; an explicit ``--config-budget`` flag wins over
+both.
 """
 
 from __future__ import annotations
@@ -17,13 +20,9 @@ import sys
 from typing import Sequence
 
 from . import cluster, render
-from .caps import (
-    DEFAULT_BRUTEFORCE_EDGE_CAP,
-    DEFAULT_MAX_EXPONENT,
-    config_budget_from_env,
-)
+from .caps import DEFAULT_MAX_EXPONENT, config_budget_from_env
 from .dyck import build_path, classify
-from .errors import BruteForceCapError, ConfigBudgetError, ExponentOverflowError
+from .errors import ConfigBudgetError, ExponentOverflowError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,13 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_n: bool = True) -> None:
-        p.add_argument("--r", type=int, required=True, help="recursion exponent r")
-        if with_n:
+    def add_common(p: argparse.ArgumentParser, cell: bool = True) -> None:
+        if cell:
+            p.add_argument("--r", type=int, required=True, help="recursion exponent r")
             p.add_argument("--n", type=int, required=True, help="cluster variable index n")
         p.add_argument("--out", type=str, default=None, help="write output to this file")
         p.add_argument("--max-exponent", type=int, default=DEFAULT_MAX_EXPONENT)
-        p.add_argument("--bruteforce-edge-cap", type=int, default=DEFAULT_BRUTEFORCE_EDGE_CAP)
         p.add_argument("--config-budget", type=int, default=None)
 
     p_expand = sub.add_parser("expand", help="Laurent expansion of x_n")
@@ -84,9 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="sweep formula vs. recursion oracle")
     p_verify.add_argument("--sum-cap", type=int, default=10, help="check all r+n <= sum-cap")
     p_verify.add_argument("--r-max", type=int, default=None, help="largest r (default: sum-cap - 4)")
-    p_verify.add_argument("--out", type=str, default=None)
-    p_verify.add_argument("--max-exponent", type=int, default=DEFAULT_MAX_EXPONENT)
-    p_verify.add_argument("--config-budget", type=int, default=None)
+    add_common(p_verify, cell=False)
 
     p_path = sub.add_parser("path", help="render the maximal Dyck path")
     add_common(p_path)
@@ -104,8 +100,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _budget(args: argparse.Namespace) -> int:
@@ -211,8 +210,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.max_exponent < 1:
+            raise ValueError("--max-exponent must be positive")
         return _HANDLERS[args.command](args)
-    except (ConfigBudgetError, BruteForceCapError, ExponentOverflowError) as exc:
+    except (ConfigBudgetError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:

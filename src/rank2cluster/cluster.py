@@ -94,22 +94,14 @@ def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Laur
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    x1 = LaurentPoly2.var1()
-    x2 = LaurentPoly2.var2()
-    if index == 1:
-        return x1
-    if index == 2:
-        return x2
-    if index > 2:
-        prev, cur = x1, x2
-        for _ in range(index - 2):
-            prev, cur = cur, (cur**r + 1).div_exact(prev)
-            _check_exponents(cur, max_exponent)
-        return cur
-    # Downward: x_{m-1} = (x_m^r + 1) / x_{m+1}.
-    above, cur = x2, x1
-    for _ in range(1 - index):
-        above, cur = cur, (cur**r + 1).div_exact(above)
+    # Downward, x_{m-1} = (x_m^r + 1) / x_{m+1}: the same recursion started
+    # from (x2, x1) instead of (x1, x2).
+    if index >= 2:
+        prev, cur, steps = LaurentPoly2.var1(), LaurentPoly2.var2(), index - 2
+    else:
+        prev, cur, steps = LaurentPoly2.var2(), LaurentPoly2.var1(), 1 - index
+    for _ in range(steps):
+        prev, cur = cur, (cur**r + 1).div_exact(prev)
         _check_exponents(cur, max_exponent)
     return cur
 
@@ -120,20 +112,33 @@ def _generating_poly_cached(r: int, n: int, config_budget: int, max_exponent: in
     return generating_poly(path, config_budget=config_budget)
 
 
+def _statistics_box(
+    r: int, n: int, config_budget: int, max_exponent: int
+) -> tuple[LaurentPoly2, int, int]:
+    """Generating polynomial of x_n (n >= 4) and its box sides d(n-1), d(n-2)."""
+    dims = dim_sequence(r, n - 1, max_exponent=max_exponent)
+    gen = _generating_poly_cached(r, n, config_budget, max_exponent)
+    return gen, dims.value(n - 1), dims.value(n - 2)
+
+
+def _reflect(gen: LaurentPoly2, e_total: int, h_total: int) -> LaurentPoly2:
+    """Map each term y1^weight2 y2^weight1 to y1^(e_total - weight2) y2^(h_total - weight1)."""
+    return LaurentPoly2({(e_total - a, h_total - b): count for (a, b), count in gen.terms.items()})
+
+
 def _positive_expansion(
     r: int, n: int, config_budget: int, max_exponent: int
 ) -> LaurentPoly2:
-    """Formula route for x_n, n >= 4."""
-    dims = dim_sequence(r, n - 1, max_exponent=max_exponent)
-    e_total = dims.value(n - 1)
-    h_total = dims.value(n - 2)
-    gen = _generating_poly_cached(r, n, config_budget, max_exponent)
-    terms: dict[tuple[int, int], int] = {}
-    for (a, b), count in gen.terms.items():
-        # a = weight2 (edges), b = weight1; exponents shift by the monomial
-        # x1^{-d(n-1)} x2^{-d(n-2)} in front of the sum.
-        terms[(r * b - e_total, r * (e_total - a) - h_total)] = count
-    return LaurentPoly2(terms)
+    """Formula route for x_n, n >= 4.
+
+    A family (w1, w2), reflected to (u, v) = (d(n-1) - w2, d(n-2) - w1),
+    contributes x1^(r*w1 - d(n-1)) * x2^(r*u - d(n-2)).
+    """
+    gen, e_total, h_total = _statistics_box(r, n, config_budget, max_exponent)
+    return LaurentPoly2({
+        (r * (h_total - v) - e_total, r * u - h_total): count
+        for (u, v), count in _reflect(gen, e_total, h_total).terms.items()
+    })
 
 
 def cluster_variable(
@@ -216,14 +221,7 @@ def f_polynomial(
         return LaurentPoly2({(0, 1): 1, (0, 0): 1})
     if index >= 4:
         return _generating_poly_cached(r, index, config_budget, max_exponent)
-    n = 3 - index
-    dims = dim_sequence(r, n - 1, max_exponent=max_exponent)
-    e_total = dims.value(n - 1)
-    h_total = dims.value(n - 2)
-    gen = _generating_poly_cached(r, n, config_budget, max_exponent)
-    return LaurentPoly2(
-        {(h_total - b, e_total - a): count for (a, b), count in gen.terms.items()}
-    )
+    return _reflect(*_statistics_box(r, 3 - index, config_budget, max_exponent)).swap_vars()
 
 
 def euler_table(
@@ -244,22 +242,16 @@ def euler_table(
         raise ValueError(f"n must be >= 4, got {n}")
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    dims = dim_sequence(r, n - 1, max_exponent=max_exponent)
-    e_total = dims.value(n - 1)
-    h_total = dims.value(n - 2)
-    gen = _generating_poly_cached(r, n, config_budget, max_exponent)
-    histogram = {(w1, w2): count for (w2, w1), count in gen.terms.items()}
-    entries: dict[tuple[int, int], int] = {}
+    gen, e_total, h_total = _statistics_box(r, n, config_budget, max_exponent)
     if sign == "positive":
-        max_e1, max_e2 = e_total, h_total
-        for e1 in range(max_e1 + 1):
-            for e2 in range(max_e2 + 1):
-                entries[(e1, e2)] = histogram.get((h_total - e2, e_total - e1), 0)
+        source, max_e1, max_e2 = _reflect(gen, e_total, h_total), e_total, h_total
     else:
-        max_e1, max_e2 = h_total, e_total
-        for e1 in range(max_e1 + 1):
-            for e2 in range(max_e2 + 1):
-                entries[(e1, e2)] = histogram.get((e1, e2), 0)
+        source, max_e1, max_e2 = gen.swap_vars(), h_total, e_total
+    entries = {
+        (e1, e2): source.coefficient(e1, e2)
+        for e1 in range(max_e1 + 1)
+        for e2 in range(max_e2 + 1)
+    }
     return EulerTable(r=r, n=n, sign=sign, max_e1=max_e1, max_e2=max_e2, entries=entries)
 
 

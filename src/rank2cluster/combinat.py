@@ -10,29 +10,28 @@ subset of the pool subject to three rules:
 3. every green element needs support: at least one edge of its window must
    be covered by some other element of the family.
 
-``enumerate_bruteforce`` materializes the family stream directly from these
-rules and exists as a test oracle.  ``generating_poly`` computes the exact
-bivariate generating polynomial
+``generating_poly`` computes the exact bivariate generating polynomial
 
     sum over families of  y1^(total edges) * y2^(sum of k-i over colored)
 
-without materializing the stream: it backtracks over sets of pairwise
+without materializing the families: it backtracks over sets of pairwise
 compatible colored elements only (all 2^height of them), and folds the free
 single edges in closed form, with an inclusion-exclusion correction over the
 unsupported green windows.  The family count is exponential in the edge
 count (every subset of single edges is a family), so the aggregated route is
-the only scalable one.
+the only scalable one.  The brute-force family stream that checks it lives
+with the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
-from .caps import DEFAULT_BRUTEFORCE_EDGE_CAP, DEFAULT_CONFIG_BUDGET
-from .dyck import Color, ColoredSubpath, DyckPath, _classify_with_first, first_exceeding_by_vertex
-from .errors import BruteForceCapError, ConfigBudgetError
+from .caps import DEFAULT_CONFIG_BUDGET
+from .dyck import ColoredSubpath, DyckPath, _classify_with_first, first_exceeding_by_vertex
+from .errors import ConfigBudgetError
 from .laurent import LaurentPoly2
 
 
@@ -42,30 +41,6 @@ class PiecePool:
 
     colored: tuple[ColoredSubpath, ...]
     singles: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Family:
-    """One member of the family collection: colored subpaths plus single edges."""
-
-    colored: tuple[ColoredSubpath, ...]
-    singles: tuple[int, ...]
-
-    @property
-    def weight1(self) -> int:
-        """Sum of k - i over the colored elements."""
-        return sum(c.weight1 for c in self.colored)
-
-    @property
-    def weight2(self) -> int:
-        """Total number of edges across all elements."""
-        return sum(c.edge_count for c in self.colored) + len(self.singles)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "colored": [[c.i, c.k] for c in self.colored],
-            "singles": list(self.singles),
-        }
 
 
 def build_pool(path: DyckPath) -> PiecePool:
@@ -81,30 +56,6 @@ def build_pool(path: DyckPath) -> PiecePool:
             first = t_star if (t_star is not None and t_star <= k) else None
             colored.append(_classify_with_first(path, i, k, first))
     return PiecePool(colored=tuple(colored), singles=tuple(range(1, path.n_edges + 1)))
-
-
-def is_member(path: DyckPath, family: Family) -> bool:
-    """Check the three family rules against a candidate drawn from the pool."""
-    covered: set[int] = set()
-    total = 0
-    for element in family.colored:
-        span = set(element.edges())
-        covered |= span
-        total += len(span)
-    singles = set(family.singles)
-    covered |= singles
-    total += len(family.singles)
-    if len(covered) != total:
-        return False
-    starts = {c.i for c in family.colored}
-    ends = {c.k for c in family.colored}
-    if starts & ends:
-        return False
-    for element in family.colored:
-        if element.color is Color.GREEN:
-            if not covered.intersection(element.window_edges()):
-                return False
-    return True
 
 
 def _edge_mask(span: tuple[int, int]) -> int:
@@ -134,65 +85,6 @@ def _prepare_masks(colored: tuple[ColoredSubpath, ...]) -> tuple[list[int], list
             mask |= 1 << j2
         allow.append(mask)
     return edge_masks, window_masks, allow
-
-
-def enumerate_bruteforce(
-    path: DyckPath,
-    edge_cap: int = DEFAULT_BRUTEFORCE_EDGE_CAP,
-) -> Iterator[Family]:
-    """Yield every family exactly once (test oracle; exponential output).
-
-    Refuses paths with more than ``edge_cap`` edges.  For each compatible set
-    of colored elements the free single edges are swept by binary counting,
-    keeping only subsets that hit every unsupported green window.
-    """
-    n_edges = path.n_edges
-    if n_edges > edge_cap:
-        raise BruteForceCapError(
-            f"path has {n_edges} edges, above the brute-force cap {edge_cap}"
-        )
-    pool = build_pool(path)
-    colored = pool.colored
-    edge_masks, window_masks, allow = _prepare_masks(colored)
-
-    def emit(chosen: tuple[int, ...], covered: int) -> Iterator[Family]:
-        elements = tuple(colored[j] for j in chosen)
-        free = [e + 1 for e in range(n_edges) if not (covered >> e) & 1]
-        position = {edge: idx for idx, edge in enumerate(free)}
-        pending = []
-        for j in chosen:
-            wmask = window_masks[j]
-            if wmask and not (wmask & covered):
-                mask = 0
-                for edge in colored[j].window_edges():
-                    mask |= 1 << position[edge]
-                pending.append(mask)
-        for sub in range(1 << len(free)):
-            ok = True
-            for wmask in pending:
-                if not sub & wmask:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            picked = []
-            s = sub
-            while s:
-                low = s & -s
-                picked.append(free[low.bit_length() - 1])
-                s ^= low
-            yield Family(colored=elements, singles=tuple(picked))
-
-    def visit(candidates: int, chosen: tuple[int, ...], covered: int) -> Iterator[Family]:
-        yield from emit(chosen, covered)
-        c = candidates
-        while c:
-            low = c & -c
-            j = low.bit_length() - 1
-            c ^= low
-            yield from visit(candidates & allow[j], chosen + (j,), covered | edge_masks[j])
-
-    yield from visit((1 << len(colored)) - 1, (), 0)
 
 
 def generating_poly(
@@ -277,29 +169,3 @@ def generating_poly(
             exps = (e + j, w1)
             acc[exps] = acc.get(exps, 0) + count * math.comb(remaining, j)
     return LaurentPoly2(acc)
-
-
-def bruteforce_poly(path: DyckPath, edge_cap: int = DEFAULT_BRUTEFORCE_EDGE_CAP) -> LaurentPoly2:
-    """Accumulate the generating polynomial term by term from the raw stream."""
-    acc: dict[tuple[int, int], int] = {}
-    for family in enumerate_bruteforce(path, edge_cap=edge_cap):
-        exps = (family.weight2, family.weight1)
-        acc[exps] = acc.get(exps, 0) + 1
-    return LaurentPoly2(acc)
-
-
-def stats_histogram(
-    path: DyckPath,
-    config_budget: int = DEFAULT_CONFIG_BUDGET,
-) -> dict[tuple[int, int], int]:
-    """Family counts keyed by the statistics pair (weight1, weight2)."""
-    poly = generating_poly(path, config_budget=config_budget)
-    return {(w1, w2): count for (w2, w1), count in poly.terms.items()}
-
-
-def histogram_csv(histogram: dict[tuple[int, int], int]) -> str:
-    """CSV serialization of a statistics histogram, rows sorted by (w1, w2)."""
-    lines = ["w1,w2,count"]
-    for (w1, w2) in sorted(histogram):
-        lines.append(f"{w1},{w2},{histogram[(w1, w2)]}")
-    return "\n".join(lines) + "\n"

@@ -37,9 +37,5 @@ class LateGreenError(Rank2ClusterError):
     """A green classification would require a level m >= n-1."""
 
 
-class BruteForceCapError(Rank2ClusterError):
-    """The path has more edges than the brute-force enumeration cap."""
-
-
 class ConfigBudgetError(Rank2ClusterError):
     """The configuration count exceeds the aggregation budget."""

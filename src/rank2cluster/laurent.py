@@ -35,7 +35,7 @@ class LaurentPoly2:
         canonical: dict[Exponents, int] = {}
         if terms:
             for (e1, e2), coeff in terms.items():
-                if not isinstance(coeff, int):
+                if not isinstance(coeff, int) or isinstance(coeff, bool):
                     raise TypeError(f"coefficient must be int, got {type(coeff).__name__}")
                 if coeff != 0:
                     canonical[(int(e1), int(e2))] = coeff

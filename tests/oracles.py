@@ -2,15 +2,150 @@
 
 Everything here is computed by a route that does NOT share code with the
 implementation it checks: the Christoffel word comes from the arithmetic
-(mod-total) definition, and reference F-polynomials are recovered from the
-recursion oracle's Laurent expansion by inverting the exponent bookkeeping.
+(mod-total) definition, reference F-polynomials are recovered from the
+recursion oracle's Laurent expansion by inverting the exponent bookkeeping,
+and the brute-force family stream applies the three family rules with its own
+edge and window masks instead of the aggregator's.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
 from rank2cluster.cluster import oracle
-from rank2cluster.dyck import dim_sequence
+from rank2cluster.combinat import build_pool
+from rank2cluster.dyck import Color, ColoredSubpath, DyckPath, dim_sequence
+from rank2cluster.errors import Rank2ClusterError
 from rank2cluster.laurent import LaurentPoly2
+
+# Largest edge count for which the brute-force family stream is allowed.
+DEFAULT_BRUTEFORCE_EDGE_CAP = 22
+
+
+class BruteForceCapError(Rank2ClusterError):
+    """The path has more edges than the brute-force enumeration cap."""
+
+
+@dataclass(frozen=True, slots=True)
+class Family:
+    """One member of the family collection: colored subpaths plus single edges."""
+
+    colored: tuple[ColoredSubpath, ...]
+    singles: tuple[int, ...]
+
+    @property
+    def weight1(self) -> int:
+        """Sum of k - i over the colored elements."""
+        return sum(c.weight1 for c in self.colored)
+
+    @property
+    def weight2(self) -> int:
+        """Total number of edges across all elements."""
+        return sum(c.edge_count for c in self.colored) + len(self.singles)
+
+
+def is_member(path: DyckPath, family: Family) -> bool:
+    """Check the three family rules against a candidate drawn from the pool."""
+    covered: set[int] = set()
+    total = 0
+    for element in family.colored:
+        span = set(element.edges())
+        covered |= span
+        total += len(span)
+    singles = set(family.singles)
+    covered |= singles
+    total += len(family.singles)
+    if len(covered) != total:
+        return False
+    starts = {c.i for c in family.colored}
+    ends = {c.k for c in family.colored}
+    if starts & ends:
+        return False
+    for element in family.colored:
+        if element.color is Color.GREEN:
+            if not covered.intersection(element.window_edges()):
+                return False
+    return True
+
+
+def _bits(edges: Iterable[int]) -> int:
+    """Bit set of 1-based edge numbers: edge e is bit e - 1."""
+    mask = 0
+    for edge in edges:
+        mask |= 1 << (edge - 1)
+    return mask
+
+
+def enumerate_bruteforce(
+    path: DyckPath,
+    edge_cap: int = DEFAULT_BRUTEFORCE_EDGE_CAP,
+) -> Iterator[Family]:
+    """Yield every family exactly once (exponential output).
+
+    Refuses paths with more than ``edge_cap`` edges.  For each compatible set
+    of colored elements the free single edges are swept by binary counting,
+    keeping only subsets that hit every unsupported green window.
+    """
+    n_edges = path.n_edges
+    if n_edges > edge_cap:
+        raise BruteForceCapError(
+            f"path has {n_edges} edges, above the brute-force cap {edge_cap}"
+        )
+    colored = build_pool(path).colored
+    edge_masks = [_bits(c.edges()) for c in colored]
+    window_masks = [_bits(c.window_edges()) for c in colored]
+    # later[j]: elements after j that share no edge with j and do not chain with it.
+    later = [
+        sum(
+            1 << j2
+            for j2 in range(j + 1, len(colored))
+            if not edge_masks[j] & edge_masks[j2]
+            and cj.i != colored[j2].k
+            and cj.k != colored[j2].i
+        )
+        for j, cj in enumerate(colored)
+    ]
+
+    def emit(chosen: tuple[int, ...], covered: int) -> Iterator[Family]:
+        elements = tuple(colored[j] for j in chosen)
+        free = [e + 1 for e in range(n_edges) if not (covered >> e) & 1]
+        position = {edge: idx for idx, edge in enumerate(free)}
+        pending = []
+        for j in chosen:
+            wmask = window_masks[j]
+            if wmask and not (wmask & covered):
+                pending.append(_bits(position[edge] + 1 for edge in colored[j].window_edges()))
+        for sub in range(1 << len(free)):
+            if pending and not all(sub & wmask for wmask in pending):
+                continue
+            picked = []
+            s = sub
+            while s:
+                low = s & -s
+                picked.append(free[low.bit_length() - 1])
+                s ^= low
+            yield Family(colored=elements, singles=tuple(picked))
+
+    def visit(candidates: int, chosen: tuple[int, ...], covered: int) -> Iterator[Family]:
+        yield from emit(chosen, covered)
+        c = candidates
+        while c:
+            low = c & -c
+            j = low.bit_length() - 1
+            c ^= low
+            yield from visit(candidates & later[j], chosen + (j,), covered | edge_masks[j])
+
+    yield from visit((1 << len(colored)) - 1, (), 0)
+
+
+def bruteforce_poly(path: DyckPath, edge_cap: int = DEFAULT_BRUTEFORCE_EDGE_CAP) -> LaurentPoly2:
+    """Accumulate the generating polynomial term by term from the raw stream."""
+    acc: dict[tuple[int, int], int] = {}
+    for family in enumerate_bruteforce(path, edge_cap=edge_cap):
+        exps = (family.weight2, family.weight1)
+        acc[exps] = acc.get(exps, 0) + 1
+    return LaurentPoly2(acc)
 
 
 def lower_christoffel_word(p: int, q: int) -> str:

@@ -169,6 +169,47 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert target.read_text() == LaurentPoly2(X5_R3_TERMS).render("plain") + "\n"
 
 
+def test_out_to_unwritable_path_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "expand", "--r", "3", "--n", "5", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--r", "3", "--n", "5", "--engine", "oracle"),
+        ("gvector", "--r", "3", "--n", "5"),
+    ],
+)
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_max_exponent_must_be_positive(capsys, argv, cap):
+    code, out, err = run(capsys, *argv, "--max-exponent", cap)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --max-exponent must be positive\n"
+
+
+def test_bruteforce_edge_cap_flag_is_gone(capsys):
+    code, out, _ = run(capsys, "expand", "--r", "3", "--n", "5", "--bruteforce-edge-cap", "5")
+    assert code == 1
+    assert out == ""
+
+
+def test_verify_takes_common_flags(capsys, tmp_path):
+    target = tmp_path / "rows.jsonl"
+    code, out, _ = run(
+        capsys, "verify", "--sum-cap", "6", "--out", str(target),
+        "--max-exponent", "1000", "--config-budget", "1000000",
+    )
+    assert code == 0
+    assert out == ""
+    rows = [json.loads(line) for line in target.read_text().splitlines()]
+    assert [(row["r"], row["n"], row["status"]) for row in rows] == [(2, 4, "pass")]
+
+
 def test_missing_arguments_exit_1(capsys):
     code, _, _ = run(capsys, "expand", "--r", "3")
     assert code == 1

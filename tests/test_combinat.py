@@ -1,21 +1,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank2cluster.combinat import (
-    Family,
-    bruteforce_poly,
-    build_pool,
-    enumerate_bruteforce,
-    generating_poly,
-    histogram_csv,
-    is_member,
-    stats_histogram,
-)
+from rank2cluster.combinat import build_pool, generating_poly
 from rank2cluster.dyck import build_path
-from rank2cluster.errors import BruteForceCapError, ConfigBudgetError
+from rank2cluster.errors import ConfigBudgetError
 from rank2cluster.laurent import LaurentPoly2
 
-from oracles import EQ3_NUMERATOR_TERMS, family_count
+from oracles import (
+    EQ3_NUMERATOR_TERMS,
+    BruteForceCapError,
+    Family,
+    bruteforce_poly,
+    enumerate_bruteforce,
+    family_count,
+    is_member,
+)
 
 # Cells cheap enough to enumerate completely inside unit tests.
 ENUM_CELLS = [(2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (4, 4), (5, 4), (6, 4)]
@@ -175,28 +174,10 @@ def test_generating_poly_budget():
         generating_poly(build_path(3, 6), config_budget=100)  # needs 2^8
 
 
-def test_stats_histogram_worked_example():
-    hist = stats_histogram(build_path(3, 5))
-    assert hist[(0, 0)] == 1
-    assert hist[(3, 8)] == 1
-    assert sum(hist.values()) == 365
-
-
-def test_histogram_csv_layout():
-    hist = stats_histogram(build_path(2, 4))
-    text = histogram_csv(hist)
-    lines = text.splitlines()
-    assert lines[0] == "w1,w2,count"
-    assert lines[1] == "0,0,1"
-    parsed = [line.split(",") for line in lines[1:]]
-    assert sum(int(row[2]) for row in parsed) == 5
-
-
 def test_family_json_lines_schema():
     path = build_path(3, 5)
     by_pair, _ = pool_elements(3, 5)
     family = Family(colored=(by_pair[(1, 3)],), singles=(3, 1))
-    assert family.to_json_dict() == {"colored": [[1, 3]], "singles": [3, 1]}
     assert family.weight1 == 2
     assert family.weight2 == 7
 

@@ -157,6 +157,13 @@ def test_render_rejects_unknown_format():
         ONE.render("yaml")
 
 
+@pytest.mark.parametrize("coeff", [True, False, 1.0])
+def test_constructor_rejects_non_int_coefficients(coeff):
+    # bool is an int subclass; accepting it would render "c": "True".
+    with pytest.raises(TypeError):
+        LaurentPoly2({(0, 0): coeff})
+
+
 def test_poly_sum():
     assert poly_sum([X1, X2, ONE]) == X1 + X2 + 1
     assert poly_sum([]) == ZERO
