@@ -11,14 +11,15 @@ import os
 # Largest dimension value / exponent magnitude allowed before OVERFLOW.
 DEFAULT_MAX_EXPONENT = 10**6
 
-# Largest number of colored-subpath configurations the aggregator may visit.
+# Largest number of steps the aggregator's edge scan may take, counted from the
+# path's size before any subpath is classified.
 DEFAULT_CONFIG_BUDGET = 10**8
 
 ENV_CONFIG_BUDGET = "CLUSTER_COMB_BUDGET"
 
 
 def config_budget_from_env(default: int = DEFAULT_CONFIG_BUDGET) -> int:
-    """Return the configuration budget, honoring the override env var."""
+    """Return the aggregation budget, honoring the override env var."""
     raw = os.environ.get(ENV_CONFIG_BUDGET)
     if raw is None:
         return default

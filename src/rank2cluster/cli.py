@@ -7,9 +7,9 @@ takes ``--out``, ``--max-exponent`` (must be positive) and
 Exit codes: 0 success, 1 bad arguments, invalid parameters or an unwritable
 ``--out`` path, 2 resource-cap breach, 3 engine mismatch or verification
 failure.  Expected errors print a one-line message to stderr, never a stack
-trace.  The environment variable ``CLUSTER_COMB_BUDGET`` overrides the
-default configuration budget; an explicit ``--config-budget`` flag wins over
-both.
+trace.  ``--config-budget`` caps the steps of the formula engine's edge
+scan.  The environment variable ``CLUSTER_COMB_BUDGET`` overrides its
+default; an explicit ``--config-budget`` flag wins over both.
 """
 
 from __future__ import annotations
@@ -163,14 +163,15 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     r_max = args.r_max if args.r_max is not None else max(args.sum_cap - 4, 1)
-    if r_max < 2:
-        print("note: the formula engine requires r >= 2; nothing to verify", file=sys.stderr)
     rows = cluster.verify_range(
         r_max, args.sum_cap,
         config_budget=_budget(args), max_exponent=args.max_exponent,
     )
     text = "".join(json.dumps(row) + "\n" for row in rows)
     _emit(text, args.out)
+    # After the output, so that a failed write leaves one error line alone.
+    if r_max < 2:
+        print("note: the formula engine requires r >= 2; nothing to verify", file=sys.stderr)
     failures = sum(1 for row in rows if row["status"] == "fail")
     return EXIT_MISMATCH if failures else EXIT_OK
 

@@ -265,12 +265,14 @@ def verify_range(
 
     Each cell checks exact equality of the formula expansion against the
     recursion oracle at index n AND at the mirrored index 3 - n (whose
-    formula is the variable swap of the first).  Cells whose configuration
-    count 2^height exceeds the budget are reported as skipped, never silently
-    dropped.  Rows come back sorted by (r, n) with status pass/fail/skipped.
+    formula is the variable swap of the first).  Cells whose aggregation
+    step count exceeds the budget, or whose exponents exceed the cap, are
+    reported as skipped, never silently dropped.  Rows come back sorted by
+    (r, n) with status pass/fail/skipped.  No cell has r > sum_cap - 4, so
+    ``r_max`` is clamped there and a huge value costs nothing.
     """
     rows: list[dict] = []
-    for r in range(2, r_max + 1):
+    for r in range(2, min(r_max, sum_cap - 4) + 1):
         for n in range(4, sum_cap - r + 1):
             start = time.perf_counter()
             try:

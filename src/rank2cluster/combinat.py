@@ -14,23 +14,25 @@ subset of the pool subject to three rules:
 
     sum over families of  y1^(total edges) * y2^(sum of k-i over colored)
 
-without materializing the families: it backtracks over sets of pairwise
-compatible colored elements only (all 2^height of them), and folds the free
-single edges in closed form, with an inclusion-exclusion correction over the
-unsupported green windows.  The family count is exponential in the edge
-count (every subset of single edges is a family), so the aggregated route is
-the only scalable one.  The brute-force family stream that checks it lives
-with the test oracles in ``tests/oracles.py``.
+without materializing the families.  Every rule is local along the path:
+elements are intervals of edges, a chain can only join a colored element
+ending at edge p to a blue or green one starting at edge p+1, and a green
+element's window ends right before it.  So one left-to-right scan over the
+edges carries all families at once, remembering only how far back the last
+covered edge lies and whether a colored element ends at the current edge.
+Its cost is polynomial in the path size, and ``config_budget`` caps its
+steps before any work starts.  The family count is exponential in the edge
+count (every subset of single edges is a family), so the aggregated route
+is the only scalable one.  The brute-force family stream that checks it
+lives with the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .caps import DEFAULT_CONFIG_BUDGET
-from .dyck import ColoredSubpath, DyckPath, _classify_with_first, first_exceeding_by_vertex
+from .dyck import Color, ColoredSubpath, DyckPath, _classify_with_first, first_exceeding_by_vertex
 from .errors import ConfigBudgetError
 from .laurent import LaurentPoly2
 
@@ -58,114 +60,89 @@ def build_pool(path: DyckPath) -> PiecePool:
     return PiecePool(colored=tuple(colored), singles=tuple(range(1, path.n_edges + 1)))
 
 
-def _edge_mask(span: tuple[int, int]) -> int:
-    lo, hi = span
-    return ((1 << (hi - lo + 1)) - 1) << (lo - 1)
+def _longest_window(path: DyckPath) -> int:
+    """An upper bound g >= 1 on the edge count of every green window.
 
-
-def _prepare_masks(colored: tuple[ColoredSubpath, ...]) -> tuple[list[int], list[int], list[int]]:
-    """Per-element edge masks, window masks, and allowed-successor masks.
-
-    ``allow[j]`` keeps only elements with index > j that neither share an edge
-    with element j nor clash with it at an endpoint, so the backtracker can
-    extend a configuration with a single bitwise AND.
+    A window has d(m-1) - w*d(m-2) edges with 3 <= m <= n-2 and w >= 1, so
+    m = n-2, w = 1 is the largest: d(k) - d(k-1) never decreases when r >= 2.
+    There are no greens when r = 2 or n = 4.
     """
-    m = len(colored)
-    edge_masks = [_edge_mask(c.edge_span) for c in colored]
-    window_masks = [_edge_mask(c.window) if c.window is not None else 0 for c in colored]
-    allow = []
-    for j, cj in enumerate(colored):
-        mask = 0
-        for j2 in range(j + 1, m):
-            c2 = colored[j2]
-            if edge_masks[j] & edge_masks[j2]:
-                continue
-            if cj.i == c2.k or cj.k == c2.i:
-                continue
-            mask |= 1 << j2
-        allow.append(mask)
-    return edge_masks, window_masks, allow
+    if path.r < 3 or path.n < 5:
+        return 1
+    return path.dims.value(path.n - 3) - path.dims.value(path.n - 4)
 
 
-def generating_poly(
-    path: DyckPath,
-    config_budget: int = DEFAULT_CONFIG_BUDGET,
-    _element_key: Callable[[ColoredSubpath], object] | None = None,
-) -> LaurentPoly2:
+def _accumulate(
+    dest: dict[int, int], src: dict[int, int], weight1: int = 0, shift: int = 0
+) -> dict[int, int]:
+    """Add the rows of ``src``, times y2^weight1 and shifted ``shift`` bits, into ``dest``."""
+    for w, packed in src.items():
+        key = w + weight1
+        dest[key] = dest[key] + (packed << shift) if key in dest else packed << shift
+    return dest
+
+
+def generating_poly(path: DyckPath, config_budget: int = DEFAULT_CONFIG_BUDGET) -> LaurentPoly2:
     """Exact generating polynomial sum(y1^weight2 * y2^weight1) over families.
 
-    Backtracks over compatible sets S of colored elements; each S contributes
+    Scans the edges left to right, over the partial families of edges 1..p.
+    Those in which a colored element ends at edge p sit in ``marker``; the
+    others sit in ``near[L]`` when their last covered edge lies fewer than L
+    edges back, for 1 <= L <= g and the longest green window g, and all of
+    them in ``near[g+1]``.  Edge p+1 is then left free, taken as a single
+    edge, or is the first edge of a colored element that carries its family
+    to ``marker`` at the element's last edge.  A red element may follow any
+    family, a blue one only those in ``near[g+1]`` (rule 2), and a green one
+    with an L-edge window only those in ``near[L]`` (rules 2 and 3).
 
-        y1^edges(S) * y2^weight1(S) *
-            sum over subsets T of the unsupported greens of
-                (-1)^|T| * (1 + y1)^(free(S) - |union of T's windows|)
-
-    where free(S) counts the edges S leaves uncovered.  The inner sum forces
-    at least one chosen single edge inside every unsupported window.  The
-    configuration count is exactly 2^height; budgets above that raise
-    ``ConfigBudgetError`` before any work happens.
-
-    ``_element_key`` reorders the backtracking elements (testing hook; the
-    result is order-independent).
+    A row maps weight1 to an int that packs the coefficients of y1^0, y1^1,
+    ... in fixed-width slots, so the scan only adds and shifts.  The step
+    count (g+2) * (2E + h(h+1)/2) * (h+1) * (E+1), for E edges and height h,
+    is checked against ``config_budget`` before the pool is built; a larger
+    count raises ``ConfigBudgetError``.
     """
-    configs = 1 << path.height
-    if configs > config_budget:
+    n_edges, height = path.n_edges, path.height
+    top = _longest_window(path) + 1
+    steps = (top + 1) * (2 * n_edges + height * (height + 1) // 2) * (height + 1) * (n_edges + 1)
+    if steps > config_budget:
         raise ConfigBudgetError(
-            f"(r={path.r}, n={path.n}) needs {configs} configurations, "
+            f"(r={path.r}, n={path.n}) needs {steps} aggregation steps, "
             f"above the budget {config_budget}"
         )
-    pool = build_pool(path)
-    colored = pool.colored
-    if _element_key is not None:
-        colored = tuple(sorted(colored, key=_element_key))
-    edge_masks, window_masks, allow = _prepare_masks(colored)
-    n_edges = path.n_edges
-    edge_counts = [c.edge_count for c in colored]
-    weights = [c.weight1 for c in colored]
+    starting: dict[int, list[ColoredSubpath]] = {}
+    for c in build_pool(path).colored:
+        starting.setdefault(c.edge_span[0], []).append(c)
+    # A family labels each edge free, single, inside an element, or first edge
+    # of one of the at most two colored elements that share a span, so no
+    # coefficient reaches 5**n_edges and the slots never carry into each other.
+    width = (5**n_edges).bit_length()
 
-    # tally[(w1, e, u)] accumulates signed configuration counts, where u is
-    # the size of a window union subtracted from the free-edge exponent.
-    tally: dict[tuple[int, int, int], int] = {}
+    near: list[dict[int, int]] = [{} for _ in range(top)] + [{0: 1}]
+    marker: dict[int, int] = {}
+    arriving: dict[int, dict[int, int]] = {}  # rows of colored elements ending at a later edge
+    for p in range(n_edges):
+        every = _accumulate(dict(near[top]), marker)
+        for c in starting.get(p + 1, ()):
+            if c.color is Color.RED:
+                source = every
+            elif c.window is not None:
+                source = near[len(c.window_edges())]
+            else:
+                source = near[top]
+            _accumulate(arriving.setdefault(c.edge_span[1], {}), source, c.weight1, c.edge_count * width)
+        # Taking edge p+1 as a single edge puts a family in every near[L].
+        # Leaving it free puts a family one edge further from its last covered
+        # edge: the ``marker`` rows join near[L] from L = 2 on, near[L-1]
+        # moves up to near[L], and near[g+1] keeps its rows.
+        single = _accumulate({}, every, shift=width)
+        close = _accumulate(dict(single), marker)
+        near = [{}, single] + [_accumulate(dict(close), row) for row in near[1 : top - 1] + near[top:]]
+        marker = arriving.pop(p + 1, {})
 
-    def visit(candidates: int, covered: int, e: int, w1: int, greens: tuple[int, ...]) -> None:
-        unsupported = [wm for wm in greens if not wm & covered]
-        if not unsupported:
-            key = (w1, e, 0)
-            tally[key] = tally.get(key, 0) + 1
-        else:
-            for pick in range(1 << len(unsupported)):
-                union = 0
-                sign = 1
-                p = pick
-                while p:
-                    low = p & -p
-                    union |= unsupported[low.bit_length() - 1]
-                    sign = -sign
-                    p ^= low
-                key = (w1, e, union.bit_count())
-                tally[key] = tally.get(key, 0) + sign
-        c = candidates
-        while c:
-            low = c & -c
-            j = low.bit_length() - 1
-            c ^= low
-            wmask = window_masks[j]
-            visit(
-                candidates & allow[j],
-                covered | edge_masks[j],
-                e + edge_counts[j],
-                w1 + weights[j],
-                greens + (wmask,) if wmask else greens,
-            )
-
-    visit((1 << len(colored)) - 1, 0, 0, 0, ())
-
-    acc: dict[tuple[int, int], int] = {}
-    for (w1, e, u), count in tally.items():
-        if not count:
-            continue
-        remaining = n_edges - e - u
-        for j in range(remaining + 1):
-            exps = (e + j, w1)
-            acc[exps] = acc.get(exps, 0) + count * math.comb(remaining, j)
-    return LaurentPoly2(acc)
+    total = _accumulate(dict(near[top]), marker)
+    mask = (1 << width) - 1
+    return LaurentPoly2({
+        (e, w1): (packed >> e * width) & mask
+        for w1, packed in total.items()
+        for e in range(n_edges + 1)
+    })

@@ -38,4 +38,4 @@ class LateGreenError(Rank2ClusterError):
 
 
 class ConfigBudgetError(Rank2ClusterError):
-    """The configuration count exceeds the aggregation budget."""
+    """The aggregation step count exceeds the budget."""

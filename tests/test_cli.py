@@ -1,6 +1,8 @@
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank2cluster import cli
 from rank2cluster.laurent import LaurentPoly2
@@ -57,11 +59,28 @@ def test_expand_cap_breach_exits_2(capsys):
     assert "budget" in err
 
 
+def test_expand_both_engines_agree_at_height_35(capsys):
+    # (6,6) has height 35; it needs 53 623 080 aggregation steps, inside the default budget.
+    code, out, _ = run(capsys, "expand", "--r", "6", "--n", "6", "--engine", "both")
+    assert code == 0
+    assert "DIFF" not in out
+
+
+def test_budget_refused_before_classification(capsys):
+    # (2,1500) has 1 497 vertex pairs to classify; the step count alone refuses it.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", "--r", "2", "--n", "1500")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "aggregation steps" in err
+
+
 def test_config_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CLUSTER_COMB_BUDGET", "1000")
     code, _, _ = run(capsys, "expand", "--r", "3", "--n", "7")
     assert code == 2
-    # An explicit flag wins over the environment.
+    # An explicit flag wins over the environment; (3,7) needs 2 940 784 steps.
     code, _, _ = run(capsys, "expand", "--r", "3", "--n", "7", "--config-budget", str(2**22))
     assert code == 0
 
@@ -111,6 +130,20 @@ def test_verify_r_max_filter(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert {row["r"] for row in rows} == {2}
+
+
+# argparse expands the prefix ``--r`` to ``--r-max``.
+@pytest.mark.parametrize("flag, r_max", [("--r-max", "1000000000"), ("--r", "99999999999999999999")])
+def test_verify_huge_r_max_is_clamped(capsys, flag, r_max):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--sum-cap", "10", flag, r_max)
+    assert time.perf_counter() - start < 30.0
+    _, reference, _ = run(capsys, "verify", "--sum-cap", "10", "--r-max", "6")
+    strip = lambda text: [
+        (row["r"], row["n"], row["status"]) for row in map(json.loads, text.splitlines())
+    ]
+    assert code == 0
+    assert strip(out) == strip(reference)
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
@@ -240,3 +273,58 @@ def test_verify_deterministic_modulo_millis(capsys):
         for line in text.splitlines()
     ]
     assert strip(out1) == strip(out2)
+
+
+# Argv fuzz.  Cells stay within r <= 6 and r + max(n, 3 - n) <= 10 because the
+# oracle has no cost cap; ``--r-max`` may be huge since no cell lies past it.
+# Each flag is left out, given a valid value, or given junk.
+_JUNK = st.sampled_from(["", "x", "1.5", "-", "--", "0x10", "1,2,3", "nan"])
+
+
+def _flag(name, values):
+    valid = values.map(lambda v: [name, str(v)])
+    return st.one_of(st.just([]), valid, valid, valid, _JUNK.map(lambda v: [name, v]))
+
+
+@st.composite
+def _cell(draw):
+    r = draw(st.integers(-2, 6))
+    n = draw(st.integers(r - 7, 10 - r))
+    return ["--r", str(r), "--n", str(n)]
+
+
+_FORMATS = st.sampled_from(["plain", "latex", "json"])
+_SUBCOMMANDS = {
+    "expand": [_cell(), _flag("--engine", st.sampled_from(["formula", "oracle", "both"])),
+               _flag("--format", _FORMATS)],
+    "fpoly": [_cell(), _flag("--format", _FORMATS)],
+    "gvector": [_cell(), _flag("--format", st.just("plain"))],
+    "euler": [_cell(), _flag("--sign", st.sampled_from(["positive", "negative"])),
+              _flag("--format", st.just("csv"))],
+    "verify": [_flag("--sum-cap", st.integers(-3, 10)),
+               _flag("--r-max", st.one_of(st.integers(-2, 8), st.integers(0, 10**20)))],
+    "path": [_cell(), st.lists(st.sampled_from(["--ascii", "--svg", "--tikz", "--json"]), max_size=2),
+             _flag("--overlay", st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map("{0[0]},{0[1]}".format))],
+}
+_COMMON = [
+    _flag("--max-exponent", st.sampled_from([-1, 0, 1, 5, 1000, 10**6])),
+    _flag("--config-budget", st.sampled_from([-1, 0, 1, 1000, 10**8])),
+    st.sampled_from([[], [], ["--out", "OK"], ["--out", "MISSING"], ["--bogus"]]),
+]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    return [command] + [arg for part in _SUBCOMMANDS[command] + _COMMON for arg in draw(part)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_cli_argv_fuzz_keeps_the_error_contract(capsys, tmp_path, argv):
+    targets = {"OK": str(tmp_path / "out.txt"), "MISSING": str(tmp_path / "missing" / "out.txt")}
+    code, _, err = run(capsys, *(targets.get(arg, arg) for arg in argv))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code != 0 and not err.startswith("usage:"):
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)

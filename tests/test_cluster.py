@@ -206,7 +206,7 @@ def test_verify_range_small_sweep():
 def test_verify_range_reports_skips():
     rows = verify_range(3, 10, config_budget=10**4)
     status = {(row["r"], row["n"]): row["status"] for row in rows}
-    assert status[(3, 7)] == "skipped"  # needs 2^21 configurations
+    assert status[(3, 7)] == "skipped"  # needs 2 940 784 aggregation steps
     assert status[(2, 8)] == "pass"
 
 

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from rank2cluster.combinat import build_pool, generating_poly
 from rank2cluster.dyck import build_path
@@ -12,6 +11,7 @@ from oracles import (
     Family,
     bruteforce_poly,
     enumerate_bruteforce,
+    f_polynomial_from_oracle,
     family_count,
     is_member,
 )
@@ -161,17 +161,16 @@ def test_generating_poly_invariants(cell):
     assert poly.coefficient(path.n_edges, path.height) == 1
 
 
-def test_generating_poly_order_independent():
-    path = build_path(3, 6)
-    default = generating_poly(path)
-    reversed_key = generating_poly(path, _element_key=lambda c: (-c.k, -c.i))
-    by_span = generating_poly(path, _element_key=lambda c: c.edge_span)
-    assert default == reversed_key == by_span
-
-
 def test_generating_poly_budget():
     with pytest.raises(ConfigBudgetError):
-        generating_poly(build_path(3, 6), config_budget=100)  # needs 2^8
+        generating_poly(build_path(3, 6), config_budget=100)  # needs 61 776 steps
+
+
+@pytest.mark.parametrize("cell", [(5, 6), (6, 6)])
+def test_generating_poly_matches_oracle_on_tall_cells(cell):
+    # Heights 24 and 35: far too many families to enumerate, and 2^24 and
+    # 2^35 sets of compatible colored elements.
+    assert generating_poly(build_path(*cell)) == f_polynomial_from_oracle(*cell)
 
 
 def test_family_json_lines_schema():
@@ -180,15 +179,3 @@ def test_family_json_lines_schema():
     family = Family(colored=(by_pair[(1, 3)],), singles=(3, 1))
     assert family.weight1 == 2
     assert family.weight2 == 7
-
-
-@settings(max_examples=20)
-@given(st.sampled_from([(2, 5), (3, 4), (3, 5), (4, 4)]), st.randoms())
-def test_generating_poly_under_random_orderings(cell, rng):
-    path = build_path(*cell)
-    baseline = generating_poly(path)
-    order = {
-        (c.i, c.k): rng.random() for c in build_pool(path).colored
-    }
-    shuffled = generating_poly(path, _element_key=lambda c: order[(c.i, c.k)])
-    assert shuffled == baseline
