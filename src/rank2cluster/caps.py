@@ -1,18 +1,18 @@
 """Resource caps with safe defaults.
 
-All heavy operations take these as keyword arguments so CI and scripts can
-never hang by accident; the CLI exposes them as flags.
+Heavy operations take these as keyword arguments and check them before any
+work starts, so scripts never hang by accident; the CLI exposes them as flags.
 """
 
 from __future__ import annotations
 
 import os
 
-# Largest dimension value / exponent magnitude allowed before OVERFLOW.
+# Largest exponent magnitude allowed: x_n is refused when d(n) exceeds it.
 DEFAULT_MAX_EXPONENT = 10**6
 
-# Largest number of steps the aggregator's edge scan may take, counted from the
-# path's size before any subpath is classified.
+# Largest number of steps the aggregator's edge scan may take, counted from
+# d(1)..d(n-1) before the path is built.
 DEFAULT_CONFIG_BUDGET = 10**8
 
 ENV_CONFIG_BUDGET = "CLUSTER_COMB_BUDGET"

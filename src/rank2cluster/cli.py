@@ -7,9 +7,10 @@ takes ``--out``, ``--max-exponent`` (must be positive) and
 Exit codes: 0 success, 1 bad arguments, invalid parameters or an unwritable
 ``--out`` path, 2 resource-cap breach, 3 engine mismatch or verification
 failure.  Expected errors print a one-line message to stderr, never a stack
-trace.  ``--config-budget`` caps the steps of the formula engine's edge
-scan.  The environment variable ``CLUSTER_COMB_BUDGET`` overrides its
-default; an explicit ``--config-budget`` flag wins over both.
+trace.  Every subcommand but ``path`` (whose box needs only d(n-1)) refuses
+a cell whose d(n) exceeds ``--max-exponent``.  ``--config-budget`` caps the
+formula engine's edge scan; ``main`` takes it from the flag, else from
+``CLUSTER_COMB_BUDGET``, else the default, and checks both caps once.
 """
 
 from __future__ import annotations
@@ -107,23 +108,14 @@ def _emit(text: str, out: str | None) -> None:
             raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _budget(args: argparse.Namespace) -> int:
-    if args.config_budget is not None:
-        if args.config_budget <= 0:
-            raise ValueError("--config-budget must be positive")
-        return args.config_budget
-    return config_budget_from_env()
-
-
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.engine in ("formula", "both") and args.r < 2:
         raise ValueError("the formula engine requires r >= 2 (use --engine oracle for r = 1)")
-    budget = _budget(args)
     if args.engine == "oracle":
         value = cluster.oracle(args.r, args.n, max_exponent=args.max_exponent)
     else:
         value = cluster.cluster_variable(
-            args.r, args.n, config_budget=budget, max_exponent=args.max_exponent
+            args.r, args.n, config_budget=args.config_budget, max_exponent=args.max_exponent
         ).value
     if args.engine == "both":
         reference = cluster.oracle(args.r, args.n, max_exponent=args.max_exponent)
@@ -141,7 +133,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_fpoly(args: argparse.Namespace) -> int:
     value = cluster.f_polynomial(
-        args.r, args.n, config_budget=_budget(args), max_exponent=args.max_exponent
+        args.r, args.n, config_budget=args.config_budget, max_exponent=args.max_exponent
     )
     _emit(value.render(args.format, names=("y1", "y2")) + "\n", args.out)
     return EXIT_OK
@@ -155,7 +147,7 @@ def _cmd_gvector(args: argparse.Namespace) -> int:
 def _cmd_euler(args: argparse.Namespace) -> int:
     table = cluster.euler_table(
         args.r, args.n, sign=args.sign,
-        config_budget=_budget(args), max_exponent=args.max_exponent,
+        config_budget=args.config_budget, max_exponent=args.max_exponent,
     )
     _emit(table.to_csv(), args.out)
     return EXIT_OK
@@ -165,7 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     r_max = args.r_max if args.r_max is not None else max(args.sum_cap - 4, 1)
     rows = cluster.verify_range(
         r_max, args.sum_cap,
-        config_budget=_budget(args), max_exponent=args.max_exponent,
+        config_budget=args.config_budget, max_exponent=args.max_exponent,
     )
     text = "".join(json.dumps(row) + "\n" for row in rows)
     _emit(text, args.out)
@@ -213,6 +205,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.max_exponent < 1:
             raise ValueError("--max-exponent must be positive")
+        if args.config_budget is None:
+            args.config_budget = config_budget_from_env()
+        elif args.config_budget < 1:
+            raise ValueError("--config-budget must be positive")
         return _HANDLERS[args.command](args)
     except (ConfigBudgetError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

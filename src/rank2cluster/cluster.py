@@ -17,6 +17,10 @@ Two independent routes compute the same expansions:
 ``verify_range`` sweeps both routes against each other and is the package's
 own correctness gate.  The combinatorial route requires r >= 2; r = 1 (the
 five-periodic case) is supported by the oracle only.
+
+Both routes admit a cell from d(1)..d(n) before any path, pool or recursion
+step exists: ``max_exponent`` caps d(n), x_n's largest exponent, and
+``config_budget`` caps the formula route's ``combinat.scan_steps``.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
-from .combinat import generating_poly
-from .dyck import build_path, dim_sequence
+from .combinat import check_budget, generating_poly
+from .dyck import DimSequence, build_path, dim_sequence
 from .errors import ConfigBudgetError, ExponentOverflowError
 from .laurent import LaurentPoly2
 
@@ -75,14 +79,13 @@ class EulerTable:
         return "\n".join(lines) + "\n"
 
 
-def _check_exponents(poly: LaurentPoly2, max_exponent: int) -> None:
-    if poly.is_zero():
-        return
-    lo1, lo2 = poly.min_exponents()
-    hi1, hi2 = poly.max_exponents()
-    worst = max(abs(lo1), abs(lo2), abs(hi1), abs(hi2))
-    if worst > max_exponent:
-        raise ExponentOverflowError(f"exponent magnitude {worst} exceeds the cap {max_exponent}")
+def _admit(r: int, index: int, max_exponent: int) -> DimSequence:
+    """d(1)..d(n) for x_index, n = index or 3 - index; refused when d(n) > max_exponent.
+
+    x_n has denominator x1^d(n-1) x2^d(n-2) and g-vector (-d(n-1), d(n)), so
+    d(n) is its largest exponent.  Raises ``ValueError`` when r < 2.
+    """
+    return dim_sequence(r, max(index, 3 - index), max_exponent=max_exponent)
 
 
 def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> LaurentPoly2:
@@ -90,7 +93,8 @@ def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Laur
 
     Works for any r >= 1 and any integer index, in both directions.  A
     non-exact division cannot happen (it would falsify the Laurent
-    phenomenon) and would surface as ``NonExactDivisionError``.
+    phenomenon) and would surface as ``NonExactDivisionError``.  The largest
+    exponent, d(n) for r >= 2 and 1 for r = 1, is capped before the first step.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -100,24 +104,23 @@ def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Laur
         prev, cur, steps = LaurentPoly2.var1(), LaurentPoly2.var2(), index - 2
     else:
         prev, cur, steps = LaurentPoly2.var2(), LaurentPoly2.var1(), 1 - index
+    if r >= 2:
+        _admit(r, index, max_exponent)
+    elif steps and max_exponent < 1:
+        raise ExponentOverflowError(f"exponent magnitude 1 exceeds the cap {max_exponent} (r=1)")
     for _ in range(steps):
         prev, cur = cur, (cur**r + 1).div_exact(prev)
-        _check_exponents(cur, max_exponent)
     return cur
 
 
 @lru_cache(maxsize=128)
-def _generating_poly_cached(r: int, n: int, config_budget: int, max_exponent: int) -> LaurentPoly2:
-    path = build_path(r, n, max_exponent=max_exponent)
-    return generating_poly(path, config_budget=config_budget)
-
-
-def _statistics_box(
+def _generating_poly_cached(
     r: int, n: int, config_budget: int, max_exponent: int
 ) -> tuple[LaurentPoly2, int, int]:
     """Generating polynomial of x_n (n >= 4) and its box sides d(n-1), d(n-2)."""
-    dims = dim_sequence(r, n - 1, max_exponent=max_exponent)
-    gen = _generating_poly_cached(r, n, config_budget, max_exponent)
+    dims = _admit(r, n, max_exponent)
+    check_budget(r, n, dims, config_budget)
+    gen = generating_poly(build_path(r, n, max_exponent=max_exponent), config_budget=config_budget)
     return gen, dims.value(n - 1), dims.value(n - 2)
 
 
@@ -126,15 +129,13 @@ def _reflect(gen: LaurentPoly2, e_total: int, h_total: int) -> LaurentPoly2:
     return LaurentPoly2({(e_total - a, h_total - b): count for (a, b), count in gen.terms.items()})
 
 
-def _positive_expansion(
-    r: int, n: int, config_budget: int, max_exponent: int
-) -> LaurentPoly2:
+def _positive_expansion(r: int, n: int, config_budget: int, max_exponent: int) -> LaurentPoly2:
     """Formula route for x_n, n >= 4.
 
     A family (w1, w2), reflected to (u, v) = (d(n-1) - w2, d(n-2) - w1),
     contributes x1^(r*w1 - d(n-1)) * x2^(r*u - d(n-2)).
     """
-    gen, e_total, h_total = _statistics_box(r, n, config_budget, max_exponent)
+    gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
     return LaurentPoly2({
         (r * (h_total - v) - e_total, r * u - h_total): count
         for (u, v), count in _reflect(gen, e_total, h_total).terms.items()
@@ -154,8 +155,7 @@ def cluster_variable(
     come from the Dyck-path expansion and indices <= -1 from its variable
     swap.
     """
-    if r < 2:
-        raise ValueError(f"the combinatorial formula requires r >= 2, got {r}")
+    _admit(r, index, max_exponent)
     if index == 1:
         value = LaurentPoly2.var1()
     elif index == 2:
@@ -174,26 +174,21 @@ def cluster_variable(
 def g_vector(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> GVector:
     """g-vector of x_index.
 
-    Indices >= 4 give (-d(n-1), d(n)); index 3 gives (-1, r); index 0 gives
+    Indices n >= 3 give (-d(n-1), d(n)), so (-1, r) at index 3; index 0 gives
     (0, -1); indices <= -1 give (-d(n-2), d(n-3)) with n = 3 - index.
     Indices 1 and 2 return the standard convention (1, 0) and (0, 1) for the
     initial cluster (a convention, not part of the expansion formulas).
     """
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
+    dims = _admit(r, index, max_exponent)
     if index == 1:
         return GVector(1, 0)
     if index == 2:
         return GVector(0, 1)
-    if index == 3:
-        return GVector(-1, r)
+    if index >= 3:
+        return GVector(-dims.value(index - 1), dims.value(index))
     if index == 0:
         return GVector(0, -1)
-    if index >= 4:
-        dims = dim_sequence(r, index, max_exponent=max_exponent)
-        return GVector(-dims.value(index - 1), dims.value(index))
     n = 3 - index
-    dims = dim_sequence(r, n, max_exponent=max_exponent)
     return GVector(-dims.value(n - 2), dims.value(n - 3))
 
 
@@ -211,8 +206,7 @@ def f_polynomial(
     generating polynomial; the mirrored index reflects the statistics within
     the bounding rectangle.
     """
-    if r < 2:
-        raise ValueError(f"the combinatorial formula requires r >= 2, got {r}")
+    _admit(r, index, max_exponent)
     if index in (1, 2):
         raise ValueError("F-polynomials are defined for index >= 3 or index <= 0")
     if index == 3:
@@ -220,8 +214,8 @@ def f_polynomial(
     if index == 0:
         return LaurentPoly2({(0, 1): 1, (0, 0): 1})
     if index >= 4:
-        return _generating_poly_cached(r, index, config_budget, max_exponent)
-    return _reflect(*_statistics_box(r, 3 - index, config_budget, max_exponent)).swap_vars()
+        return _generating_poly_cached(r, index, config_budget, max_exponent)[0]
+    return _reflect(*_generating_poly_cached(r, 3 - index, config_budget, max_exponent)).swap_vars()
 
 
 def euler_table(
@@ -242,7 +236,7 @@ def euler_table(
         raise ValueError(f"n must be >= 4, got {n}")
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    gen, e_total, h_total = _statistics_box(r, n, config_budget, max_exponent)
+    gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
     if sign == "positive":
         source, max_e1, max_e2 = _reflect(gen, e_total, h_total), e_total, h_total
     else:

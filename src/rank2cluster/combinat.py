@@ -20,11 +20,12 @@ ending at edge p to a blue or green one starting at edge p+1, and a green
 element's window ends right before it.  So one left-to-right scan over the
 edges carries all families at once, remembering only how far back the last
 covered edge lies and whether a colored element ends at the current edge.
-Its cost is polynomial in the path size, and ``config_budget`` caps its
-steps before any work starts.  The family count is exponential in the edge
-count (every subset of single edges is a family), so the aggregated route
-is the only scalable one.  The brute-force family stream that checks it
-lives with the test oracles in ``tests/oracles.py``.
+Its cost is polynomial in the path size, and ``check_budget`` refuses a
+cell whose ``scan_steps`` exceed ``config_budget`` before its path is built.
+The family count is exponential in the edge count (every subset of single
+edges is a family), so the aggregated route is the only scalable one.  The
+brute-force family stream that checks it lives with the test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CONFIG_BUDGET
-from .dyck import Color, ColoredSubpath, DyckPath, _classify_with_first, first_exceeding_by_vertex
+from .dyck import (
+    Color, ColoredSubpath, DimSequence, DyckPath, _classify_with_first, first_exceeding_by_vertex
+)
 from .errors import ConfigBudgetError
 from .laurent import LaurentPoly2
 
@@ -60,16 +63,35 @@ def build_pool(path: DyckPath) -> PiecePool:
     return PiecePool(colored=tuple(colored), singles=tuple(range(1, path.n_edges + 1)))
 
 
-def _longest_window(path: DyckPath) -> int:
+def _longest_window(r: int, n: int, dims: DimSequence) -> int:
     """An upper bound g >= 1 on the edge count of every green window.
 
     A window has d(m-1) - w*d(m-2) edges with 3 <= m <= n-2 and w >= 1, so
     m = n-2, w = 1 is the largest: d(k) - d(k-1) never decreases when r >= 2.
     There are no greens when r = 2 or n = 4.
     """
-    if path.r < 3 or path.n < 5:
+    if r < 3 or n < 5:
         return 1
-    return path.dims.value(path.n - 3) - path.dims.value(path.n - 4)
+    return dims.value(n - 3) - dims.value(n - 4)
+
+
+def scan_steps(r: int, n: int, dims: DimSequence) -> int:
+    """Steps of the edge scan for (r, n), from d(1)..d(n-1) alone.
+
+    Each of the E = d(n-1) edges merges 2g+5 rows (g the longest green window)
+    and each of the h(h+1)/2 colored elements one more (h = d(n-2)); a merge
+    adds at most h+1 weights of E+1 slots each.
+    """
+    n_edges, height = dims.value(n - 1), dims.value(n - 2)
+    merges = (2 * _longest_window(r, n, dims) + 5) * n_edges + height * (height + 1) // 2
+    return merges * (height + 1) * (n_edges + 1)
+
+
+def check_budget(r: int, n: int, dims: DimSequence, config_budget: int) -> None:
+    """Raise ``ConfigBudgetError`` when ``scan_steps`` exceed ``config_budget``."""
+    if (steps := scan_steps(r, n, dims)) > config_budget:
+        raise ConfigBudgetError(f"(r={r}, n={n}) needs {steps} aggregation steps, "
+                                f"above the budget {config_budget}")
 
 
 def _accumulate(
@@ -96,19 +118,13 @@ def generating_poly(path: DyckPath, config_budget: int = DEFAULT_CONFIG_BUDGET) 
     with an L-edge window only those in ``near[L]`` (rules 2 and 3).
 
     A row maps weight1 to an int that packs the coefficients of y1^0, y1^1,
-    ... in fixed-width slots, so the scan only adds and shifts.  The step
-    count (g+2) * (2E + h(h+1)/2) * (h+1) * (E+1), for E edges and height h,
-    is checked against ``config_budget`` before the pool is built; a larger
-    count raises ``ConfigBudgetError``.
+    ... in fixed-width slots, so the scan only adds and shifts.  Its
+    ``scan_steps`` are checked against ``config_budget`` before the pool is
+    built; a larger count raises ``ConfigBudgetError``.
     """
-    n_edges, height = path.n_edges, path.height
-    top = _longest_window(path) + 1
-    steps = (top + 1) * (2 * n_edges + height * (height + 1) // 2) * (height + 1) * (n_edges + 1)
-    if steps > config_budget:
-        raise ConfigBudgetError(
-            f"(r={path.r}, n={path.n}) needs {steps} aggregation steps, "
-            f"above the budget {config_budget}"
-        )
+    check_budget(path.r, path.n, path.dims, config_budget)
+    n_edges = path.n_edges
+    top = _longest_window(path.r, path.n, path.dims) + 1
     starting: dict[int, list[ColoredSubpath]] = {}
     for c in build_pool(path).colored:
         starting.setdefault(c.edge_span[0], []).append(c)

@@ -7,7 +7,7 @@ coefficients:
 
 The zero polynomial is the empty map.  Coefficients are native Python
 integers (arbitrary precision); exponents are unbounded as well, so growth
-guards live at the call sites that iterate recurrences, not here.  Values
+guards live with the callers, which decide them before any arithmetic.  Values
 are immutable after construction and all operations are pure, so instances
 are safe to share across threads.
 """
@@ -176,12 +176,6 @@ class LaurentPoly2:
             k >>= 1
             if k:
                 base = base * base
-        return result
-
-    def shift(self, d1: int, d2: int) -> "LaurentPoly2":
-        """Multiply by the monomial x1^d1 * x2^d2."""
-        result = LaurentPoly2.__new__(LaurentPoly2)
-        result._terms = {(e1 + d1, e2 + d2): c for (e1, e2), c in self._terms.items()}
         return result
 
     def div_exact(self, divisor: "LaurentPoly2") -> "LaurentPoly2":

@@ -60,7 +60,7 @@ def test_expand_cap_breach_exits_2(capsys):
 
 
 def test_expand_both_engines_agree_at_height_35(capsys):
-    # (6,6) has height 35; it needs 53 623 080 aggregation steps, inside the default budget.
+    # (6,6) has height 35; it needs 27 232 200 aggregation steps, inside the default budget.
     code, out, _ = run(capsys, "expand", "--r", "6", "--n", "6", "--engine", "both")
     assert code == 0
     assert "DIFF" not in out
@@ -80,8 +80,57 @@ def test_config_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CLUSTER_COMB_BUDGET", "1000")
     code, _, _ = run(capsys, "expand", "--r", "3", "--n", "7")
     assert code == 2
-    # An explicit flag wins over the environment; (3,7) needs 2 940 784 steps.
+    # An explicit flag wins over the environment; (3,7) needs 1 300 992 steps.
     code, _, _ = run(capsys, "expand", "--r", "3", "--n", "7", "--config-budget", str(2**22))
+    assert code == 0
+
+
+def test_budget_refused_before_the_path_is_built(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_path ran for an over-budget cell")
+
+    monkeypatch.setattr(cli.cluster, "build_path", refuse)
+    code, out, err = run(capsys, "expand", "--r", "3", "--n", "16")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: (r=3, n=16) needs ") and "aggregation steps" in err
+
+
+# x_5 and x_{-2} for r = 3 have largest exponent d(5) = 21.
+@pytest.mark.parametrize("engine", ["formula", "oracle", "both"])
+@pytest.mark.parametrize("index", ["5", "-2"])
+def test_max_exponent_admits_exactly_d_n(capsys, engine, index):
+    argv = ("expand", "--r", "3", "--n", index, "--engine", engine, "--max-exponent")
+    code, out, err = run(capsys, *argv, "20")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: d(5) = 21 exceeds the cap 20")
+    code, _, _ = run(capsys, *argv, "21")
+    assert code == 0
+
+
+_EVERY_SUBCOMMAND = [
+    ("expand", "--r", "3", "--n", "5"),
+    ("fpoly", "--r", "3", "--n", "5"),
+    ("gvector", "--r", "3", "--n", "5"),
+    ("euler", "--r", "3", "--n", "5"),
+    ("verify", "--sum-cap", "6"),
+    ("path", "--r", "3", "--n", "5", "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND)
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_config_budget_must_be_positive(capsys, argv, budget):
+    code, out, err = run(capsys, *argv, "--config-budget", budget)
+    assert (code, out, err) == (1, "", "error: --config-budget must be positive\n")
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND)
+def test_config_budget_env_is_checked_unless_the_flag_is_given(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CLUSTER_COMB_BUDGET", "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: CLUSTER_COMB_BUDGET must be positive, got 0\n")
+    code, _, _ = run(capsys, *argv, "--config-budget", "1000000")
     assert code == 0
 
 

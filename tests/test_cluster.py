@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rank2cluster import cluster
 from rank2cluster.cluster import (
     GVector,
     cluster_variable,
@@ -79,6 +80,79 @@ def test_cluster_variable_rejects_r1():
 def test_cluster_variable_budget():
     with pytest.raises(ConfigBudgetError):
         cluster_variable(3, 7, config_budget=1000)
+
+
+def test_default_budget_admits_2_117_and_refuses_2_118():
+    # (2,117) needs 98 182 400 scan steps and (2,118) needs 101 545 704.
+    assert sum(f_polynomial(2, 117).terms.values()) == family_count(2, 117)
+    with pytest.raises(ConfigBudgetError):
+        f_polynomial(2, 118)
+
+
+def _d(r, k):
+    """d(k) for k >= 0, with d(0) = -1, d(1) = 0 and d(k) = r*d(k-1) - d(k-2)."""
+    values = [-1, 0]
+    while len(values) <= k:
+        values.append(r * values[-1] - values[-2])
+    return values[k]
+
+
+def _top(index):
+    """The n whose d(n) is the largest exponent of x_index."""
+    return index if index >= 1 else 3 - index
+
+
+class _Started(Exception):
+    """Raised by the first piece of real work: the call got past admission."""
+
+
+def _refused(call):
+    try:
+        call()
+    except ExponentOverflowError:
+        return True
+    except (_Started, ConfigBudgetError):
+        pass
+    return False
+
+
+def test_cap_matrix_is_decided_from_d_n_before_any_work(monkeypatch):
+    def start(*args, **kwargs):
+        raise _Started
+
+    monkeypatch.setattr(cluster, "build_path", start)
+    monkeypatch.setattr(LaurentPoly2, "div_exact", start)
+    for r in range(2, 6):
+        for index in range(-6, 9):
+            n = _top(index)
+            # Caps below 1 are outside the contract (the CLI rejects them).
+            for cap in {_d(r, n - 1), _d(r, n) - 1, _d(r, n)} - {-1, 0}:
+                expected = _d(r, n) > cap
+                for call in (
+                    lambda: oracle(r, index, max_exponent=cap),
+                    lambda: cluster_variable(r, index, max_exponent=cap),
+                    lambda: g_vector(r, index, max_exponent=cap),
+                ):
+                    assert _refused(call) == expected, (r, index, cap)
+
+
+def test_engines_finish_at_the_cap_d_n():
+    for r in range(2, 6):
+        for index in range(-6, 9):
+            n = _top(index)
+            if r + n > 9:
+                continue
+            cap = max(_d(r, n), 1)
+            value = oracle(r, index, max_exponent=cap)
+            assert cluster_variable(r, index, max_exponent=cap).value == value
+            assert g_vector(r, index, max_exponent=cap) == g_vector(r, index)
+
+
+def test_oracle_r1_caps_only_below_1():
+    assert oracle(1, 1, max_exponent=0) == LaurentPoly2.var1()
+    with pytest.raises(ExponentOverflowError):
+        oracle(1, 3, max_exponent=0)
+    assert oracle(1, 1000, max_exponent=1) == oracle(1, 5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -206,7 +280,7 @@ def test_verify_range_small_sweep():
 def test_verify_range_reports_skips():
     rows = verify_range(3, 10, config_budget=10**4)
     status = {(row["r"], row["n"]): row["status"] for row in rows}
-    assert status[(3, 7)] == "skipped"  # needs 2 940 784 aggregation steps
+    assert status[(3, 7)] == "skipped"  # needs 1 300 992 aggregation steps
     assert status[(2, 8)] == "pass"
 
 

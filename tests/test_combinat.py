@@ -1,5 +1,6 @@
 import pytest
 
+from rank2cluster import combinat
 from rank2cluster.combinat import build_pool, generating_poly
 from rank2cluster.dyck import build_path
 from rank2cluster.errors import ConfigBudgetError
@@ -163,14 +164,31 @@ def test_generating_poly_invariants(cell):
 
 def test_generating_poly_budget():
     with pytest.raises(ConfigBudgetError):
-        generating_poly(build_path(3, 6), config_budget=100)  # needs 61 776 steps
+        generating_poly(build_path(3, 6), config_budget=100)  # needs 44 550 steps
 
 
-@pytest.mark.parametrize("cell", [(5, 6), (6, 6)])
+@pytest.mark.parametrize("cell", [(5, 6), (6, 6), (3, 8)])
 def test_generating_poly_matches_oracle_on_tall_cells(cell):
-    # Heights 24 and 35: far too many families to enumerate, and 2^24 and
-    # 2^35 sets of compatible colored elements.
+    # Heights 24, 35 and 55: far too many families to enumerate, and 2^24,
+    # 2^35 and 2^55 sets of compatible colored elements.
     assert generating_poly(build_path(*cell)) == f_polynomial_from_oracle(*cell)
+
+
+@pytest.mark.parametrize("cell", [(3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7)])
+def test_scan_steps_track_the_row_additions(cell, monkeypatch):
+    added = []
+    accumulate = combinat._accumulate
+
+    def counting(dest, src, *args, **kwargs):
+        added.append(len(src))
+        return accumulate(dest, src, *args, **kwargs)
+
+    monkeypatch.setattr(combinat, "_accumulate", counting)
+    path = build_path(*cell)
+    generating_poly(path, config_budget=10**9)
+    # Each added row is a packed int of n_edges + 1 slots.
+    work = sum(added) * (path.n_edges + 1)
+    assert work <= combinat.scan_steps(path.r, path.n, path.dims) <= 8 * work
 
 
 def test_family_json_lines_schema():
