@@ -24,7 +24,6 @@ from .dyck import (
     ColoredSubpath,
     DimSequence,
     DyckPath,
-    assert_no_late_greens,
     build_path,
     classify,
     dim_sequence,
@@ -34,7 +33,6 @@ from .errors import (
     AmbiguousGreenError,
     ConfigBudgetError,
     ExponentOverflowError,
-    LateGreenError,
     NonExactDivisionError,
     PoleError,
     Rank2ClusterError,
@@ -57,12 +55,10 @@ __all__ = [
     "ExponentOverflowError",
     "GVector",
     "LaurentPoly2",
-    "LateGreenError",
     "NonExactDivisionError",
     "PiecePool",
     "PoleError",
     "Rank2ClusterError",
-    "assert_no_late_greens",
     "build_path",
     "build_pool",
     "classify",

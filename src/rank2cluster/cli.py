@@ -73,12 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gvec = sub.add_parser("gvector", help="g-vector of x_n")
     add_common(p_gvec)
-    p_gvec.add_argument("--format", choices=("plain",), default="plain")
 
     p_euler = sub.add_parser("euler", help="Euler characteristic table (CSV)")
     add_common(p_euler)
     p_euler.add_argument("--sign", choices=("positive", "negative"), default="positive")
-    p_euler.add_argument("--format", choices=("csv",), default="csv")
 
     p_verify = sub.add_parser("verify", help="sweep formula vs. recursion oracle")
     p_verify.add_argument("--sum-cap", type=int, default=10, help="check all r+n <= sum-cap")

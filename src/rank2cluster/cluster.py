@@ -10,9 +10,8 @@ Two independent routes compute the same expansions:
   indices above 2, backward below 1).  Exact division doubles as a built-in
   Laurentness assertion.
 * ``cluster_variable`` assembles the expansion from the Dyck-path generating
-  polynomial (indices >= 4), mirrors it through ``swap_vars`` for indices
-  <= -1, and uses the one-step closed forms for indices 3 and 0.  Indices
-  1 and 2 return the generators.
+  polynomial of x_n, n = max(index, 3 - index) >= 3, and mirrors it through
+  ``swap_vars`` for indices <= 0.  Indices 1 and 2 return the generators.
 
 ``verify_range`` sweeps both routes against each other and is the package's
 own correctness gate.  The combinatorial route requires r >= 2; r = 1 (the
@@ -117,7 +116,7 @@ def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Laur
 def _generating_poly_cached(
     r: int, n: int, config_budget: int, max_exponent: int
 ) -> tuple[LaurentPoly2, int, int]:
-    """Generating polynomial of x_n (n >= 4) and its box sides d(n-1), d(n-2)."""
+    """Generating polynomial of x_n (n >= 3) and its box sides d(n-1), d(n-2)."""
     dims = _admit(r, n, max_exponent)
     check_budget(r, n, dims, config_budget)
     gen = generating_poly(build_path(r, n, max_exponent=max_exponent), config_budget=config_budget)
@@ -129,19 +128,6 @@ def _reflect(gen: LaurentPoly2, e_total: int, h_total: int) -> LaurentPoly2:
     return LaurentPoly2({(e_total - a, h_total - b): count for (a, b), count in gen.terms.items()})
 
 
-def _positive_expansion(r: int, n: int, config_budget: int, max_exponent: int) -> LaurentPoly2:
-    """Formula route for x_n, n >= 4.
-
-    A family (w1, w2), reflected to (u, v) = (d(n-1) - w2, d(n-2) - w1),
-    contributes x1^(r*w1 - d(n-1)) * x2^(r*u - d(n-2)).
-    """
-    gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
-    return LaurentPoly2({
-        (r * (h_total - v) - e_total, r * u - h_total): count
-        for (u, v), count in _reflect(gen, e_total, h_total).terms.items()
-    })
-
-
 def cluster_variable(
     r: int,
     index: int,
@@ -150,34 +136,34 @@ def cluster_variable(
 ) -> ClusterVariable:
     """Cluster variable at any integer index via the combinatorial formula.
 
-    Requires r >= 2.  Indices 1 and 2 are the generators; 3 and 0 are the
-    one-step closed forms (x_2^r + 1)/x_1 and (x_1^r + 1)/x_2; indices >= 4
-    come from the Dyck-path expansion and indices <= -1 from its variable
-    swap.
+    Requires r >= 2.  Indices 1 and 2 are the generators.  For n >= 3 a
+    family (weight1, weight2) of the path for (r, n) contributes
+    x1^(r*weight1 - d(n-1)) * x2^(r*(d(n-1) - weight2) - d(n-2)) to x_n, and
+    x_(3-n) is the variable swap of x_n.
     """
     _admit(r, index, max_exponent)
-    if index == 1:
-        value = LaurentPoly2.var1()
-    elif index == 2:
-        value = LaurentPoly2.var2()
-    elif index == 3:
-        value = LaurentPoly2({(-1, r): 1, (-1, 0): 1})
-    elif index == 0:
-        value = LaurentPoly2({(r, -1): 1, (0, -1): 1})
-    elif index >= 4:
-        value = _positive_expansion(r, index, config_budget, max_exponent)
+    if index in (1, 2):
+        value = LaurentPoly2.var1() if index == 1 else LaurentPoly2.var2()
     else:
-        value = _positive_expansion(r, 3 - index, config_budget, max_exponent).swap_vars()
+        n = max(index, 3 - index)
+        gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
+        value = LaurentPoly2({
+            (r * w1 - e_total, r * (e_total - w2) - h_total): count
+            for (w2, w1), count in gen.terms.items()
+        })
+        if index <= 0:
+            value = value.swap_vars()
     return ClusterVariable(r=r, index=index, value=value)
 
 
 def g_vector(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> GVector:
     """g-vector of x_index.
 
-    Indices n >= 3 give (-d(n-1), d(n)), so (-1, r) at index 3; index 0 gives
-    (0, -1); indices <= -1 give (-d(n-2), d(n-3)) with n = 3 - index.
-    Indices 1 and 2 return the standard convention (1, 0) and (0, 1) for the
-    initial cluster (a convention, not part of the expansion formulas).
+    Indices n >= 3 give (-d(n-1), d(n)), so (-1, r) at index 3; indices <= 0
+    give (-d(n-2), d(n-3)) with n = 3 - index, written r*d(n-2) - d(n-1), so
+    (0, -1) at index 0.  Indices 1 and 2 return the standard convention
+    (1, 0) and (0, 1) for the initial cluster (a convention, not part of the
+    expansion formulas).
     """
     dims = _admit(r, index, max_exponent)
     if index == 1:
@@ -186,10 +172,8 @@ def g_vector(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> GV
         return GVector(0, 1)
     if index >= 3:
         return GVector(-dims.value(index - 1), dims.value(index))
-    if index == 0:
-        return GVector(0, -1)
     n = 3 - index
-    return GVector(-dims.value(n - 2), dims.value(n - 3))
+    return GVector(-dims.value(n - 2), r * dims.value(n - 2) - dims.value(n - 1))
 
 
 def f_polynomial(
@@ -201,7 +185,7 @@ def f_polynomial(
     """F-polynomial of x_index in the variables (y1, y2); constant term 1.
 
     Defined for index >= 3 or index <= 0 (the initial cluster has no
-    F-polynomial here).  For n >= 4 the positive-index polynomial is
+    F-polynomial here).  For n >= 3 the positive-index polynomial is
     sum(y1^weight2 * y2^weight1) over families, which is exactly the
     generating polynomial; the mirrored index reflects the statistics within
     the bounding rectangle.
@@ -209,13 +193,9 @@ def f_polynomial(
     _admit(r, index, max_exponent)
     if index in (1, 2):
         raise ValueError("F-polynomials are defined for index >= 3 or index <= 0")
-    if index == 3:
-        return LaurentPoly2({(1, 0): 1, (0, 0): 1})
-    if index == 0:
-        return LaurentPoly2({(0, 1): 1, (0, 0): 1})
-    if index >= 4:
-        return _generating_poly_cached(r, index, config_budget, max_exponent)[0]
-    return _reflect(*_generating_poly_cached(r, 3 - index, config_budget, max_exponent)).swap_vars()
+    n = max(index, 3 - index)
+    gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
+    return gen if index >= 3 else _reflect(gen, e_total, h_total).swap_vars()
 
 
 def euler_table(
@@ -225,15 +205,15 @@ def euler_table(
     config_budget: int = DEFAULT_CONFIG_BUDGET,
     max_exponent: int = DEFAULT_MAX_EXPONENT,
 ) -> EulerTable:
-    """Euler-characteristic table of the subrepresentation varieties, n >= 4.
+    """Euler-characteristic table of the subrepresentation varieties, n >= 3.
 
     Positive sign: entry (e1, e2) counts families with weight1 = d(n-2) - e2
     and weight2 = d(n-1) - e1, over the full rectangle
     [0, d(n-1)] x [0, d(n-2)].  Negative sign: entry (e1, e2) counts families
     with weight1 = e1 and weight2 = e2, over the transposed rectangle.
     """
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
     gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
@@ -270,10 +250,12 @@ def verify_range(
         for n in range(4, sum_cap - r + 1):
             start = time.perf_counter()
             try:
-                value = _positive_expansion(r, n, config_budget, max_exponent)
-                forward_ok = value == oracle(r, n, max_exponent=max_exponent)
-                mirror_ok = value.swap_vars() == oracle(r, 3 - n, max_exponent=max_exponent)
-                status = "pass" if (forward_ok and mirror_ok) else "fail"
+                agree = all(
+                    cluster_variable(r, i, config_budget, max_exponent).value
+                    == oracle(r, i, max_exponent=max_exponent)
+                    for i in (n, 3 - n)
+                )
+                status = "pass" if agree else "fail"
             except (ConfigBudgetError, ExponentOverflowError):
                 status = "skipped"
             millis = int((time.perf_counter() - start) * 1000)

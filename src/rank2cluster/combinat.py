@@ -68,7 +68,7 @@ def _longest_window(r: int, n: int, dims: DimSequence) -> int:
 
     A window has d(m-1) - w*d(m-2) edges with 3 <= m <= n-2 and w >= 1, so
     m = n-2, w = 1 is the largest: d(k) - d(k-1) never decreases when r >= 2.
-    There are no greens when r = 2 or n = 4.
+    There are no greens when r = 2 or n <= 4.
     """
     if r < 3 or n < 5:
         return 1

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .caps import DEFAULT_MAX_EXPONENT
-from .errors import AmbiguousGreenError, ExponentOverflowError, LateGreenError
+from .errors import AmbiguousGreenError, ExponentOverflowError
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,15 +133,15 @@ class DyckPath:
 
 
 def build_path(r: int, n: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> DyckPath:
-    """Construct the unique maximal Dyck path for (r, n), n >= 4.
+    """Construct the unique maximal Dyck path for (r, n), n >= 3.
 
     Greedy walk from the origin: take a north step whenever the resulting
     vertex stays on or below the diagonal (y*width <= x*height, exact integer
     comparison), otherwise an east step.  The resulting word equals the lower
     Christoffel word of slope height/width.
     """
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
     dims = dim_sequence(r, n - 1, max_exponent=max_exponent)
     width = dims.value(n - 1) - dims.value(n - 2)
     height = dims.value(n - 2)
@@ -260,42 +260,3 @@ def classify(path: DyckPath, i: int, k: int) -> ColoredSubpath:
 def first_exceeding_by_vertex(path: DyckPath) -> tuple[int | None, ...]:
     """For each i, the first t > i whose slope from v_i exceeds the diagonal."""
     return tuple(_first_exceeding(path, i, path.height) for i in range(path.height))
-
-
-def assert_no_late_greens(path: DyckPath) -> None:
-    """Check that no classification would require a green level m >= n-1.
-
-    Scans every realized first-exceeding distance and searches levels
-    m >= n-1 for a matching d(m) - w*d(m-1); a match raises
-    ``LateGreenError`` (an implementation-bug trap: the minimum over w
-    is 2*d(m-1) - d(m-2), which outgrows the rectangle height at m = n-1).
-    """
-    if path.height < 1:
-        return
-    distances = {
-        t_star - i
-        for i, t_star in enumerate(first_exceeding_by_vertex(path))
-        if t_star is not None
-    }
-    if not distances:
-        return
-    max_distance = max(distances)
-
-    # Extend the dimension sequence past n-1 until the smallest candidate
-    # window start outgrows every realized distance.
-    values = list(path.dims.values)
-    r = path.r
-    m = path.n - 1
-    while True:
-        while len(values) < m:
-            values.append(r * values[-1] - values[-2])
-        d_m, d_m1 = values[m - 1], values[m - 2]
-        if d_m - (r - 2) * d_m1 > max_distance:
-            return
-        for w in range(1, r - 1):
-            if d_m - w * d_m1 in distances:
-                raise LateGreenError(
-                    f"distance {d_m - w * d_m1} matches (m={m}, w={w}) with m >= n-1 "
-                    f"for (r={path.r}, n={path.n})"
-                )
-        m += 1

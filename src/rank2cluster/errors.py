@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Each class corresponds to one failure mode of the computation pipeline.
-``LateGreenError`` and ``AmbiguousGreenError`` are bug traps: they are
-never expected to fire on valid inputs, and any occurrence indicates an
-implementation defect rather than a user error.
+``AmbiguousGreenError`` is a bug trap: it is never expected to fire on
+valid inputs, and any occurrence indicates an implementation defect rather
+than a user error.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class ExponentOverflowError(Rank2ClusterError):
 
 class AmbiguousGreenError(Rank2ClusterError):
     """Two distinct (m, w) parameter pairs matched one green subpath."""
-
-
-class LateGreenError(Rank2ClusterError):
-    """A green classification would require a level m >= n-1."""
 
 
 class ConfigBudgetError(Rank2ClusterError):

@@ -5,7 +5,8 @@ implementation it checks: the Christoffel word comes from the arithmetic
 (mod-total) definition, reference F-polynomials are recovered from the
 recursion oracle's Laurent expansion by inverting the exponent bookkeeping,
 and the brute-force family stream applies the three family rules with its own
-edge and window masks instead of the aggregator's.
+edge and window masks instead of the aggregator's.  ``assert_no_late_greens``
+is a bug trap for the classifier that the package itself never calls.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from typing import Iterable, Iterator
 
 from rank2cluster.cluster import oracle
 from rank2cluster.combinat import build_pool
-from rank2cluster.dyck import Color, ColoredSubpath, DyckPath, dim_sequence
+from rank2cluster.dyck import (
+    Color, ColoredSubpath, DyckPath, dim_sequence, first_exceeding_by_vertex
+)
 from rank2cluster.errors import Rank2ClusterError
 from rank2cluster.laurent import LaurentPoly2
 
@@ -25,6 +28,10 @@ DEFAULT_BRUTEFORCE_EDGE_CAP = 22
 
 class BruteForceCapError(Rank2ClusterError):
     """The path has more edges than the brute-force enumeration cap."""
+
+
+class LateGreenError(Rank2ClusterError):
+    """A green classification would require a level m >= n-1."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,6 +155,45 @@ def bruteforce_poly(path: DyckPath, edge_cap: int = DEFAULT_BRUTEFORCE_EDGE_CAP)
     return LaurentPoly2(acc)
 
 
+def assert_no_late_greens(path: DyckPath) -> None:
+    """Check that no classification would require a green level m >= n-1.
+
+    Scans every realized first-exceeding distance and searches levels
+    m >= n-1 for a matching d(m) - w*d(m-1); a match raises
+    ``LateGreenError`` (an implementation-bug trap: the minimum over w
+    is 2*d(m-1) - d(m-2), which outgrows the rectangle height at m = n-1).
+    """
+    if path.height < 1:
+        return
+    distances = {
+        t_star - i
+        for i, t_star in enumerate(first_exceeding_by_vertex(path))
+        if t_star is not None
+    }
+    if not distances:
+        return
+    max_distance = max(distances)
+
+    # Extend the dimension sequence past n-1 until the smallest candidate
+    # window start outgrows every realized distance.
+    values = list(path.dims.values)
+    r = path.r
+    m = path.n - 1
+    while True:
+        while len(values) < m:
+            values.append(r * values[-1] - values[-2])
+        d_m, d_m1 = values[m - 1], values[m - 2]
+        if d_m - (r - 2) * d_m1 > max_distance:
+            return
+        for w in range(1, r - 1):
+            if d_m - w * d_m1 in distances:
+                raise LateGreenError(
+                    f"distance {d_m - w * d_m1} matches (m={m}, w={w}) with m >= n-1 "
+                    f"for (r={path.r}, n={path.n})"
+                )
+        m += 1
+
+
 def lower_christoffel_word(p: int, q: int) -> str:
     """Lower Christoffel word of slope p/q over {E, N}.
 
@@ -165,7 +211,7 @@ def lower_christoffel_word(p: int, q: int) -> str:
 
 
 def f_polynomial_from_oracle(r: int, n: int) -> LaurentPoly2:
-    """Recover F_n (n >= 4) from the oracle expansion of x_n.
+    """Recover F_n (n >= 3) from the oracle expansion of x_n.
 
     Each Laurent term of x_n determines its statistics pair by inverting
     e1 = r*w1 - d(n-1) and e2 = r*(d(n-1) - w2) - d(n-2); the F-polynomial

@@ -22,10 +22,12 @@ from rank2cluster.cluster import (
     verify_range,
 )
 from rank2cluster.combinat import build_pool, generating_poly
-from rank2cluster.dyck import Color, build_path, dim_sequence, assert_no_late_greens
+from rank2cluster.dyck import Color, build_path, dim_sequence
 from rank2cluster.laurent import LaurentPoly2
 
-from oracles import X5_R3_TERMS, bruteforce_poly, family_count, lower_christoffel_word
+from oracles import (
+    X5_R3_TERMS, assert_no_late_greens, bruteforce_poly, family_count, lower_christoffel_word
+)
 
 SWEEP_CELLS = [(r, n) for r in range(2, 7) for n in range(4, 9) if r + n <= 10]
 GEOMETRY_CELLS = [(r, n) for r in range(2, 9) for n in range(4, 11) if r + n <= 12]

@@ -243,6 +243,18 @@ def test_path_json_schema(capsys):
     assert json.loads(out) == {"r": 3, "n": 5, "word": "EENEENEN", "v_index": [0, 3, 6, 8]}
 
 
+def test_path_and_euler_accept_n_3(capsys):
+    code, out, _ = run(capsys, "path", "--r", "3", "--n", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"r": 3, "n": 3, "word": "E", "v_index": [0]}
+    code, out, _ = run(capsys, "euler", "--r", "3", "--n", "3")
+    assert code == 0
+    assert sum(int(line.split(",")[2]) for line in out.splitlines()[1:]) == 2
+    for command in ("path", "euler"):
+        code, _, err = run(capsys, command, "--r", "3", "--n", "2")
+        assert (code, err) == (1, "error: n must be >= 3, got 2\n")
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "x5.txt"
     code, out, _ = run(capsys, "expand", "--r", "3", "--n", "5", "--out", str(target))
@@ -276,6 +288,13 @@ def test_max_exponent_must_be_positive(capsys, argv, cap):
 
 def test_bruteforce_edge_cap_flag_is_gone(capsys):
     code, out, _ = run(capsys, "expand", "--r", "3", "--n", "5", "--bruteforce-edge-cap", "5")
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, value", [("gvector", "plain"), ("euler", "csv")])
+def test_unread_format_flags_are_gone(capsys, command, value):
+    code, out, _ = run(capsys, command, "--r", "3", "--n", "5", "--format", value)
     assert code == 1
     assert out == ""
 
@@ -347,9 +366,8 @@ _SUBCOMMANDS = {
     "expand": [_cell(), _flag("--engine", st.sampled_from(["formula", "oracle", "both"])),
                _flag("--format", _FORMATS)],
     "fpoly": [_cell(), _flag("--format", _FORMATS)],
-    "gvector": [_cell(), _flag("--format", st.just("plain"))],
-    "euler": [_cell(), _flag("--sign", st.sampled_from(["positive", "negative"])),
-              _flag("--format", st.just("csv"))],
+    "gvector": [_cell()],
+    "euler": [_cell(), _flag("--sign", st.sampled_from(["positive", "negative"]))],
     "verify": [_flag("--sum-cap", st.integers(-3, 10)),
                _flag("--r-max", st.one_of(st.integers(-2, 8), st.integers(0, 10**20)))],
     "path": [_cell(), st.lists(st.sampled_from(["--ascii", "--svg", "--tikz", "--json"]), max_size=2),

@@ -11,7 +11,8 @@ from rank2cluster.cluster import (
     oracle,
     verify_range,
 )
-from rank2cluster.dyck import dim_sequence
+from rank2cluster.combinat import generating_poly
+from rank2cluster.dyck import build_path, dim_sequence
 from rank2cluster.errors import ConfigBudgetError, ExponentOverflowError
 from rank2cluster.laurent import LaurentPoly2
 
@@ -70,6 +71,15 @@ def test_cluster_variable_mirror():
     x5 = cluster_variable(3, 5).value
     assert cluster_variable(3, -2).value == x5.swap_vars()
     assert cluster_variable(3, -2).value == oracle(3, -2)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_indices_3_and_0_come_from_the_one_edge_path(r):
+    # At n = 3 the box is 1 x 0 and the path is the single edge E: its two
+    # families, {} and {edge 1}, give the generating polynomial 1 + y1.
+    assert generating_poly(build_path(r, 3)) == LaurentPoly2({(0, 0): 1, (1, 0): 1})
+    for index in (3, 0):
+        assert cluster_variable(r, index).value == oracle(r, index)
 
 
 def test_cluster_variable_rejects_r1():
@@ -265,7 +275,7 @@ def test_euler_table_csv():
 
 def test_euler_table_validates_args():
     with pytest.raises(ValueError):
-        euler_table(3, 3)
+        euler_table(3, 2)
     with pytest.raises(ValueError):
         euler_table(3, 5, "sideways")
 

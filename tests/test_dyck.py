@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from rank2cluster.dyck import (
     Color,
-    assert_no_late_greens,
     build_path,
     classify,
     dim_sequence,
@@ -11,7 +10,7 @@ from rank2cluster.dyck import (
 )
 from rank2cluster.errors import ExponentOverflowError
 
-from oracles import lower_christoffel_word
+from oracles import assert_no_late_greens, lower_christoffel_word
 
 # (r, n) pairs small enough for exhaustive scans in unit tests.
 SMALL_CELLS = [(r, n) for r in range(2, 7) for n in range(4, 9) if r + n <= 10]
@@ -86,7 +85,7 @@ def test_build_path_smallest_rectangles():
 
 def test_build_path_rejects_small_n():
     with pytest.raises(ValueError):
-        build_path(3, 3)
+        build_path(3, 2)
 
 
 @given(params)
