@@ -10,6 +10,17 @@ integers (arbitrary precision); exponents are unbounded as well, so growth
 guards live with the callers, which decide them before any arithmetic.  Values
 are immutable after construction and all operations are pure, so instances
 are safe to share across threads.
+
+The ring kernel the recursion oracle runs on (``*``, ``**`` and
+``div_exact``) works on rows, ``{e1: {e2: coeff}}`` with int keys, and
+converts to and from the canonical map once per call.  ``**`` squares and
+multiplies in rows; a square takes each pair of distinct rows once.
+``div_exact`` walks the quotient lowest first, rows of e1 ascending and e2
+ascending inside a row, so every subtraction lands later in the walk and each
+remainder row is walked once.  The quotient's exponents must lie in the box
+min(dividend) - min(divisor) .. max(dividend) - max(divisor); that box bounds
+the walk, so a non-exact division raises ``NonExactDivisionError`` and never
+loops.
 """
 
 from __future__ import annotations
@@ -22,6 +33,8 @@ from .errors import NonExactDivisionError, PoleError
 
 Exponents = tuple[int, int]
 Scalar = Union[int, "LaurentPoly2"]
+# Working form of the ring operations: {e1: {e2: coeff}}.
+Rows = dict[int, dict[int, int]]
 
 RENDER_FORMATS = ("plain", "latex", "json")
 
@@ -150,80 +163,112 @@ class LaurentPoly2:
 
     def __mul__(self, other: Scalar) -> "LaurentPoly2":
         other = self._coerce(other)
-        out: dict[Exponents, int] = {}
-        for (a1, a2), ca in self._terms.items():
-            for (b1, b2), cb in other._terms.items():
-                exps = (a1 + b1, a2 + b2)
-                acc = out.get(exps, 0) + ca * cb
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
-        result = LaurentPoly2.__new__(LaurentPoly2)
-        result._terms = out
-        return result
+        return _from_rows(_row_product(_to_rows(self._terms), _to_rows(other._terms)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly2":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        result = LaurentPoly2.one()
-        base = self
-        while k:
+        if k == 0:
+            return LaurentPoly2.one()
+        base = _to_rows(self._terms)
+        result = None
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else _row_product(result, base)
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return _from_rows(result)
+            base = _row_product(base, base)
 
     def div_exact(self, divisor: "LaurentPoly2") -> "LaurentPoly2":
         """Exact division: return t with t * divisor == self.
 
-        Monomial factors are normalized out of both operands first, then
-        ordinary multivariate division runs against the lexicographic leading
-        term of the divisor.  Any nonzero remainder (a monomial mismatch or a
-        non-divisible leading coefficient over Z) raises
-        ``NonExactDivisionError``.
+        The extreme exponents of a product are the sums of its factors', so
+        an exact quotient lies in the box min(self) - min(divisor) <= (e1, e2)
+        <= max(self) - max(divisor), componentwise.  An empty box raises at
+        once.
+
+        Quotient terms are found lowest first in one fixed order, rows of e1
+        ascending and e2 ascending inside a row, by dividing the remainder's
+        next term by the divisor's lowest term in that order.  Subtracting
+        ``term * divisor`` only touches positions later in the walk, so each
+        remainder row is walked once, from a heap of its keys that also takes
+        the keys the row gains on the way.  A remainder term outside the box,
+        a coefficient not divisible over Z, or a nonzero remainder in the rows
+        above the box raises ``NonExactDivisionError``.  The box bounds the
+        walk, so every call ends.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly2.zero()
 
-        p_min = self.min_exponents()
-        q_min = divisor.min_exponents()
-        num = {(e1 - p_min[0], e2 - p_min[1]): c for (e1, e2), c in self._terms.items()}
-        den = {(e1 - q_min[0], e2 - q_min[1]): c for (e1, e2), c in divisor._terms.items()}
+        # Imported here, not at module level: the formula engine never divides,
+        # so its processes skip loading heapq.
+        from heapq import heapify, heappop, heappush
 
-        lead_den = max(den)
-        lead_den_coeff = den[lead_den]
-        quotient: dict[Exponents, int] = {}
-        rem = dict(num)
-        while rem:
-            lead_rem = max(rem)
-            t1 = lead_rem[0] - lead_den[0]
-            t2 = lead_rem[1] - lead_den[1]
-            if t1 < 0 or t2 < 0:
-                raise NonExactDivisionError("leading monomial not divisible")
-            coeff, residue = divmod(rem[lead_rem], lead_den_coeff)
-            if residue:
-                raise NonExactDivisionError("leading coefficient not divisible over Z")
-            quotient[(t1, t2)] = coeff
-            for (d1, d2), dc in den.items():
-                exps = (t1 + d1, t2 + d2)
-                acc = rem.get(exps, 0) - coeff * dc
-                if acc:
-                    rem[exps] = acc
-                else:
-                    rem.pop(exps, None)
+        rem = _to_rows(self._terms)
+        den = _to_rows(divisor._terms)
+        lo1 = min(den)
+        lo2 = min(map(min, den.values()))
+        first1 = min(rem) - lo1
+        last1 = max(rem) - max(den)
+        first2 = min(map(min, rem.values())) - lo2
+        last2 = max(map(max, rem.values())) - max(map(max, den.values()))
+        if first1 > last1 or first2 > last2:
+            raise NonExactDivisionError("divisor spans more exponents than the dividend")
 
-        shift1 = p_min[0] - q_min[0]
-        shift2 = p_min[1] - q_min[1]
-        result = LaurentPoly2.__new__(LaurentPoly2)
-        result._terms = {(e1 + shift1, e2 + shift2): c for (e1, e2), c in quotient.items()}
-        return result
+        # Every other divisor term as its offset from the lowest term (lo1,
+        # lead2), with its coefficient negated for the subtraction.
+        lead_row = den.pop(lo1)
+        lead2 = min(lead_row)
+        lead_coeff = lead_row.pop(lead2)
+        same_row = [(d2 - lead2, -dc) for d2, dc in lead_row.items()]
+        later_rows = [
+            (d1 - lo1, [(d2 - lead2, -dc) for d2, dc in row.items()]) for d1, row in den.items()
+        ]
+        low_key, high_key = first2 + lead2, last2 + lead2
+
+        quotient: Rows = {}
+        for e1 in range(first1 + lo1, last1 + lo1 + 1):
+            row = rem.pop(e1, None)
+            if not row:
+                continue
+            qrow = quotient[e1 - lo1] = {}
+            heap = list(row)
+            heapify(heap)
+            while heap:
+                key = heappop(heap)
+                coeff = row[key]
+                if not coeff:
+                    continue
+                if key < low_key or key > high_key:
+                    raise NonExactDivisionError("remainder term outside the quotient box")
+                coeff, residue = divmod(coeff, lead_coeff)
+                if residue:
+                    raise NonExactDivisionError("coefficient not divisible over Z")
+                qrow[key - lead2] = coeff
+                for off2, neg in same_row:
+                    k = key + off2
+                    old = row.get(k)
+                    if old is None:
+                        row[k] = coeff * neg
+                        heappush(heap, k)
+                    else:
+                        row[k] = old + coeff * neg
+                for off1, items in later_rows:
+                    target = rem.get(e1 + off1)
+                    if target is None:
+                        target = rem[e1 + off1] = {}
+                    get = target.get
+                    for off2, neg in items:
+                        k = key + off2
+                        target[k] = get(k, 0) + coeff * neg
+        if any(any(row.values()) for row in rem.values()):
+            raise NonExactDivisionError("nonzero remainder above the quotient box")
+        return _from_rows(quotient)
 
     # -- evaluation and symmetry --------------------------------------------
 
@@ -311,7 +356,57 @@ class LaurentPoly2:
 
 def poly_sum(parts: Iterable[LaurentPoly2]) -> LaurentPoly2:
     """Sum an iterable of polynomials (empty sum is zero)."""
-    total = LaurentPoly2.zero()
+    total: dict[Exponents, int] = {}
+    get = total.get
     for part in parts:
-        total = total + part
-    return total
+        for exps, coeff in part._terms.items():
+            total[exps] = get(exps, 0) + coeff
+    return LaurentPoly2(total)
+
+
+def _to_rows(terms: Mapping[Exponents, int]) -> Rows:
+    """Regroup a term map as rows {e1: {e2: coeff}}."""
+    rows: Rows = {}
+    for (e1, e2), coeff in terms.items():
+        row = rows.get(e1)
+        if row is None:
+            rows[e1] = {e2: coeff}
+        else:
+            row[e2] = coeff
+    return rows
+
+
+def _from_rows(rows: Rows) -> LaurentPoly2:
+    """The canonical polynomial of a row map; zero coefficients are dropped."""
+    result = LaurentPoly2.__new__(LaurentPoly2)
+    result._terms = {
+        (e1, e2): coeff for e1, row in rows.items() for e2, coeff in row.items() if coeff
+    }
+    return result
+
+
+def _row_product(a: Rows, b: Rows) -> Rows:
+    """Product of two row maps; rows may keep zero coefficients.
+
+    A square (``a is b``) takes each pair of distinct rows once, with doubled
+    coefficients, for about half the work of a general product.
+    """
+    square = a is b
+    out: Rows = {}
+    b_rows = [(b1, list(row.items())) for b1, row in b.items()]
+    for a1, a_row in a.items():
+        a_items = list(a_row.items())
+        doubled = [(e2, 2 * ca) for e2, ca in a_items] if square else a_items
+        for b1, b_items in b_rows:
+            if square and b1 < a1:
+                continue  # taken, doubled, as the pair (b1, a1)
+            items = a_items if b1 == a1 else doubled
+            row = out.get(a1 + b1)
+            if row is None:
+                row = out[a1 + b1] = {}
+            get = row.get
+            for e2, ca in items:
+                for f2, cb in b_items:
+                    k = e2 + f2
+                    row[k] = get(k, 0) + ca * cb
+    return out

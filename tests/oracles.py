@@ -6,7 +6,9 @@ implementation it checks: the Christoffel word comes from the arithmetic
 recursion oracle's Laurent expansion by inverting the exponent bookkeeping,
 and the brute-force family stream applies the three family rules with its own
 edge and window masks instead of the aggregator's.  ``assert_no_late_greens``
-is a bug trap for the classifier that the package itself never calls.
+is a bug trap for the classifier that the package itself never calls.  The
+``reference_*`` functions are plain Laurent arithmetic on (e1, e2) tuple keys,
+with no row form and no quotient box, to check the package's ring kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from rank2cluster.combinat import build_pool
 from rank2cluster.dyck import (
     Color, ColoredSubpath, DyckPath, dim_sequence, first_exceeding_by_vertex
 )
-from rank2cluster.errors import Rank2ClusterError
+from rank2cluster.errors import NonExactDivisionError, Rank2ClusterError
 from rank2cluster.laurent import LaurentPoly2
 
 # Largest edge count for which the brute-force family stream is allowed.
@@ -236,6 +238,66 @@ def family_count(r: int, n: int) -> int:
     for _ in range(n - 2):
         prev, cur = cur, (cur**r + 1) // prev
     return cur
+
+
+def reference_mul(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
+    """Product by direct convolution over (e1, e2) tuple keys."""
+    out: dict[tuple[int, int], int] = {}
+    for (a1, a2), ca in p.terms.items():
+        for (b1, b2), cb in q.terms.items():
+            exps = (a1 + b1, a2 + b2)
+            acc = out.get(exps, 0) + ca * cb
+            if acc:
+                out[exps] = acc
+            else:
+                del out[exps]
+    return LaurentPoly2(out)
+
+
+def reference_pow(p: LaurentPoly2, k: int) -> LaurentPoly2:
+    """k-th power by k multiplications with ``reference_mul``, starting from 1."""
+    result = LaurentPoly2.one()
+    for _ in range(k):
+        result = reference_mul(result, p)
+    return result
+
+
+def reference_div_exact(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
+    """Exact quotient p / q by division against the divisor's lexicographic
+    largest term, taking the remainder's largest term with ``max`` each step.
+
+    Monomial factors are normalized out of both operands first.  A leading
+    monomial or coefficient that does not divide raises
+    ``NonExactDivisionError``.  Only meant for exact inputs: nothing bounds
+    the walk.
+    """
+    if not q:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not p:
+        return LaurentPoly2.zero()
+    p_min, q_min = p.min_exponents(), q.min_exponents()
+    rem = {(e1 - p_min[0], e2 - p_min[1]): c for (e1, e2), c in p.terms.items()}
+    den = {(e1 - q_min[0], e2 - q_min[1]): c for (e1, e2), c in q.terms.items()}
+    lead_den = max(den)
+    lead_den_coeff = den[lead_den]
+    quotient: dict[tuple[int, int], int] = {}
+    while rem:
+        lead_rem = max(rem)
+        t1, t2 = lead_rem[0] - lead_den[0], lead_rem[1] - lead_den[1]
+        if t1 < 0 or t2 < 0:
+            raise NonExactDivisionError("leading monomial not divisible")
+        coeff, residue = divmod(rem[lead_rem], lead_den_coeff)
+        if residue:
+            raise NonExactDivisionError("leading coefficient not divisible over Z")
+        quotient[(t1 + p_min[0] - q_min[0], t2 + p_min[1] - q_min[1])] = coeff
+        for (d1, d2), dc in den.items():
+            exps = (t1 + d1, t2 + d2)
+            acc = rem.get(exps, 0) - coeff * dc
+            if acc:
+                rem[exps] = acc
+            else:
+                rem.pop(exps, None)
+    return LaurentPoly2(quotient)
 
 
 # The 19-term numerator of the (r=3, n=5) expansion, frozen from the worked

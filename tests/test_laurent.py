@@ -1,14 +1,15 @@
 import json
 import math
+import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rank2cluster.errors import NonExactDivisionError, PoleError
 from rank2cluster.laurent import LaurentPoly2, poly_sum
 
-from oracles import EQ3_NUMERATOR_TERMS
+from oracles import EQ3_NUMERATOR_TERMS, reference_div_exact, reference_mul, reference_pow
 
 X1 = LaurentPoly2.var1()
 X2 = LaurentPoly2.var2()
@@ -21,6 +22,37 @@ polys = st.dictionaries(
     st.tuples(exponents, exponents), coefficients, max_size=6
 ).map(LaurentPoly2)
 nonzero_polys = polys.filter(bool)
+# Up to 30 terms over up to 7 rows of e1, mixed with one-term and zero
+# operands.  Small coefficients make products cancel; large ones pass one
+# machine word.
+wide_polys = st.one_of(
+    st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-6, 6)),
+        st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)),
+        max_size=30,
+    ).map(LaurentPoly2),
+    st.builds(LaurentPoly2.monomial, exponents, exponents, coefficients.filter(bool)),
+    st.just(ZERO),
+)
+nonzero_wide_polys = wide_polys.filter(bool)
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail any test here with ``TimeoutError`` once it runs for 60 s.
+
+    A division that never ends would otherwise hang the suite.
+    """
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_add_cancels_to_canonical_form():
@@ -88,6 +120,12 @@ def test_div_exact_by_monomial_is_always_exact():
     assert (X1 + 1).div_exact(X2) == LaurentPoly2({(1, -1): 1, (0, -1): 1})
 
 
+def test_div_exact_walks_keys_a_row_gains():
+    # x2 is not a term of 1 - x2^2; the walk finds it after the first step.
+    assert (1 - X2**2).div_exact(1 + X2) == 1 - X2
+    assert (1 - X1**2 * X2**2).div_exact(1 + X1 * X2) == 1 - X1 * X2
+
+
 def test_div_exact_detects_non_divisibility():
     with pytest.raises(NonExactDivisionError):
         (X1 + 1).div_exact(X2 + 1)
@@ -98,6 +136,24 @@ def test_div_exact_detects_non_divisibility():
 def test_div_exact_rejects_non_integer_quotient():
     with pytest.raises(NonExactDivisionError):
         X1.div_exact(LaurentPoly2({(0, 0): 2}))
+
+
+@pytest.mark.parametrize("dividend, divisor, reason", [
+    # 1 - x1 + x1^2 - ... never ends if nothing bounds a lowest-first walk.
+    (ONE, 1 + X1, "spans more"),
+    # The walk leaves the quotient box partway through the row.
+    (1 + 3 * X2 + 3 * X2**2, 1 + 2 * X2, "outside the quotient box"),
+    # The same in x1: every term is its own row, and the last one is left over.
+    (1 + 3 * X1 + 3 * X1**2, 1 + 2 * X1, "remainder above"),
+    # Quotient 1, then 3/2: the coefficient fails on the row's second term.
+    (2 + 4 * X2 + 3 * X2**2, 2 + X2, "not divisible"),
+    # Below the box: the divisor's lowest term in row 0 sits above the
+    # dividend's constant term.
+    ((X1 + X2) ** 3 + 1, X1 + X2, "outside the quotient box"),
+])
+def test_div_exact_ends_on_non_exact_input(dividend, divisor, reason):
+    with pytest.raises(NonExactDivisionError, match=reason):
+        dividend.div_exact(divisor)
 
 
 def test_div_by_zero():
@@ -169,6 +225,14 @@ def test_poly_sum():
     assert poly_sum([]) == ZERO
 
 
+def test_poly_sum_cancels_to_zero():
+    parts = [X1, -X2, 3 * ONE, X2, -X1, LaurentPoly2({(0, 0): -3})]
+    total = poly_sum(parts)
+    assert total == ZERO
+    assert total.terms == {}
+    assert poly_sum([X1, -X1, X2]) == X2
+
+
 @given(polys, polys, polys)
 def test_ring_axioms(p, q, s):
     assert (p + q) + s == p + (q + s)
@@ -181,6 +245,35 @@ def test_ring_axioms(p, q, s):
 @given(polys, nonzero_polys)
 def test_div_exact_inverts_mul(p, q):
     assert (p * q).div_exact(q) == p
+
+
+@settings(deadline=None)
+@given(wide_polys, wide_polys)
+def test_mul_matches_reference(p, q):
+    assert p * q == reference_mul(p, q)
+
+
+@settings(deadline=None)
+@given(wide_polys, st.integers(min_value=0, max_value=5))
+def test_pow_matches_reference(p, k):
+    assert p**k == reference_pow(p, k)
+
+
+@settings(deadline=None)
+@given(wide_polys, nonzero_wide_polys)
+def test_div_exact_matches_reference(p, q):
+    product = p * q
+    assert product.div_exact(q) == reference_div_exact(product, q) == p
+
+
+@settings(deadline=None)
+@given(wide_polys, nonzero_wide_polys)
+def test_div_exact_returns_the_quotient_or_raises(p, q):
+    try:
+        quotient = p.div_exact(q)
+    except NonExactDivisionError:
+        return
+    assert quotient * q == p
 
 
 @given(polys, polys)
