@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 bad arguments, invalid parameters or an unwritable
 failure.  Expected errors print a one-line message to stderr, never a stack
 trace.  Every subcommand but ``path`` (whose box needs only d(n-1)) refuses
 a cell whose d(n) exceeds ``--max-exponent``.  ``--config-budget`` caps the
-formula engine's edge scan; ``main`` takes it from the flag, else from
-``CLUSTER_COMB_BUDGET``, else the default, and checks both caps once.
+formula engine's edge scan; it comes from the flag, else the default, and
+``main`` checks both caps once.  At r = 1 the oracle walks at most five steps.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from typing import Sequence
 
 from . import cluster, render
-from .caps import DEFAULT_MAX_EXPONENT, config_budget_from_env
+from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
 from .dyck import build_path, classify
 from .errors import ConfigBudgetError, ExponentOverflowError
 
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True, help="cluster variable index n")
         p.add_argument("--out", type=str, default=None, help="write output to this file")
         p.add_argument("--max-exponent", type=int, default=DEFAULT_MAX_EXPONENT)
-        p.add_argument("--config-budget", type=int, default=None)
+        p.add_argument("--config-budget", type=int, default=DEFAULT_CONFIG_BUDGET)
 
     p_expand = sub.add_parser("expand", help="Laurent expansion of x_n")
     add_common(p_expand)
@@ -203,9 +203,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.max_exponent < 1:
             raise ValueError("--max-exponent must be positive")
-        if args.config_budget is None:
-            args.config_budget = config_budget_from_env()
-        elif args.config_budget < 1:
+        if args.config_budget < 1:
             raise ValueError("--config-budget must be positive")
         return _HANDLERS[args.command](args)
     except (ConfigBudgetError, ExponentOverflowError) as exc:

@@ -94,6 +94,7 @@ def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Laur
     non-exact division cannot happen (it would falsify the Laurent
     phenomenon) and would surface as ``NonExactDivisionError``.  The largest
     exponent, d(n) for r >= 2 and 1 for r = 1, is capped before the first step.
+    At r = 1 the sequence is five-periodic, so the walk takes at most five steps.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -107,6 +108,8 @@ def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Laur
         _admit(r, index, max_exponent)
     elif steps and max_exponent < 1:
         raise ExponentOverflowError(f"exponent magnitude 1 exceeds the cap {max_exponent} (r=1)")
+    else:
+        steps = (steps - 1) % 5 + 1 if steps else 0  # r = 1 is five-periodic
     for _ in range(steps):
         prev, cur = cur, (cur**r + 1).div_exact(prev)
     return cur

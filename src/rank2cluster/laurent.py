@@ -50,8 +50,13 @@ class LaurentPoly2:
             for (e1, e2), coeff in terms.items():
                 if not isinstance(coeff, int) or isinstance(coeff, bool):
                     raise TypeError(f"coefficient must be int, got {type(coeff).__name__}")
+                if (not (isinstance(e1, int) and isinstance(e2, int))
+                        or isinstance(e1, bool) or isinstance(e2, bool)):
+                    raise TypeError(
+                        f"exponents must be int, got ({type(e1).__name__}, {type(e2).__name__})"
+                    )
                 if coeff != 0:
-                    canonical[(int(e1), int(e2))] = coeff
+                    canonical[(e1, e2)] = coeff
         self._terms = canonical
 
     # -- constructors -------------------------------------------------------

@@ -40,6 +40,14 @@ def test_oracle_r1_periodicity():
     assert oracle(1, 4) == LaurentPoly2({(-1, -1): 1, (-1, 0): 1, (0, -1): 1})
 
 
+# A walk of |m| steps would take days at m = 10**12; the period keeps it at five.
+@pytest.mark.parametrize(
+    "m", [10**12 + k for k in range(5)] + [-(10**12) + k for k in range(5)] + [1000, -999]
+)
+def test_oracle_r1_walks_at_most_five_steps(time_limit, m):
+    assert oracle(1, m) == oracle(1, 5 + m % 5)
+
+
 def test_oracle_r2_x4():
     assert oracle(2, 4) == LaurentPoly2({(-2, 3): 1, (-2, 1): 2, (-2, -1): 1, (0, -1): 1})
 

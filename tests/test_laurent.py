@@ -1,6 +1,5 @@
 import json
 import math
-import signal
 from fractions import Fraction
 
 import pytest
@@ -37,22 +36,8 @@ wide_polys = st.one_of(
 nonzero_wide_polys = wide_polys.filter(bool)
 
 
-@pytest.fixture(autouse=True)
-def time_limit():
-    """Fail any test here with ``TimeoutError`` once it runs for 60 s.
-
-    A division that never ends would otherwise hang the suite.
-    """
-    def expire(signum, frame):
-        raise TimeoutError("still running after 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 60)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+# A division that never ends would otherwise hang the suite.
+pytestmark = pytest.mark.usefixtures("time_limit")
 
 
 def test_add_cancels_to_canonical_form():
@@ -218,6 +203,21 @@ def test_constructor_rejects_non_int_coefficients(coeff):
     # bool is an int subclass; accepting it would render "c": "True".
     with pytest.raises(TypeError):
         LaurentPoly2({(0, 0): coeff})
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("exponent", [1.5, True, "2", None])
+def test_constructor_rejects_non_int_exponents(slot, exponent):
+    # Coercing with int() would read 1.5 and True as 1 and merge distinct keys.
+    exps = [0, 0]
+    exps[slot] = exponent
+    with pytest.raises(TypeError):
+        LaurentPoly2({tuple(exps): 1})
+
+
+def test_from_json_rejects_float_exponents():
+    with pytest.raises(TypeError):
+        LaurentPoly2.from_json('{"terms": [{"e1": 2.7, "e2": 0, "c": "1"}]}')
 
 
 def test_poly_sum():
