@@ -30,19 +30,17 @@ from .dyck import (
     slope_exceeds,
 )
 from .errors import (
-    AmbiguousGreenError,
     ConfigBudgetError,
     ExponentOverflowError,
     NonExactDivisionError,
     PoleError,
     Rank2ClusterError,
 )
-from .laurent import LaurentPoly2, poly_sum
+from .laurent import LaurentPoly2
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousGreenError",
     "ClusterVariable",
     "Color",
     "ColoredSubpath",
@@ -69,7 +67,6 @@ __all__ = [
     "g_vector",
     "generating_poly",
     "oracle",
-    "poly_sum",
     "slope_exceeds",
     "verify_range",
 ]

@@ -6,11 +6,15 @@ takes ``--out``, ``--max-exponent`` (must be positive) and
 
 Exit codes: 0 success, 1 bad arguments, invalid parameters or an unwritable
 ``--out`` path, 2 resource-cap breach, 3 engine mismatch or verification
-failure.  Expected errors print a one-line message to stderr, never a stack
-trace.  Every subcommand but ``path`` (whose box needs only d(n-1)) refuses
-a cell whose d(n) exceeds ``--max-exponent``.  ``--config-budget`` caps the
-formula engine's edge scan; it comes from the flag, else the default, and
-``main`` checks both caps once.  At r = 1 the oracle walks at most five steps.
+failure.  argparse reports bad arguments with its usage line and exit status
+2; ``main`` maps that status to 1 and passes every other status through, so
+``--help`` exits 0.  Expected errors print a one-line message to stderr,
+never a stack trace.  Every subcommand but ``path`` (whose box needs only
+d(n-1)) refuses a cell whose d(n) exceeds ``--max-exponent``.
+``--config-budget`` caps the formula engine's edge scan; it comes from the
+flag, else the default, and ``main`` checks both caps once.  At r = 1 the
+oracle walks at most five steps.  ``verify`` prints a note to stderr when its
+sweep has no cell.
 """
 
 from __future__ import annotations
@@ -31,14 +35,6 @@ EXIT_CAP = 2
 EXIT_MISMATCH = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad arguments; our contract is exit 1."""
-
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _overlay_pair(text: str) -> tuple[int, int]:
     try:
         i_text, k_text = text.split(",")
@@ -48,7 +44,7 @@ def _overlay_pair(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="rank2cluster",
         description="Exact rank-2 cluster variables via maximal Dyck path combinatorics.",
     )
@@ -152,16 +148,16 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    r_max = args.r_max if args.r_max is not None else max(args.sum_cap - 4, 1)
     rows = cluster.verify_range(
-        r_max, args.sum_cap,
+        args.r_max, args.sum_cap,
         config_budget=args.config_budget, max_exponent=args.max_exponent,
     )
     text = "".join(json.dumps(row) + "\n" for row in rows)
     _emit(text, args.out)
     # After the output, so that a failed write leaves one error line alone.
-    if r_max < 2:
-        print("note: the formula engine requires r >= 2; nothing to verify", file=sys.stderr)
+    if not rows:
+        print("note: no cell with 2 <= r <= r-max and 4 <= n <= sum-cap - r; nothing to verify",
+              file=sys.stderr)
     failures = sum(1 for row in rows if row["status"] == "fail")
     return EXIT_MISMATCH if failures else EXIT_OK
 
@@ -199,7 +195,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     try:
         if args.max_exponent < 1:
             raise ValueError("--max-exponent must be positive")

@@ -67,9 +67,6 @@ class EulerTable:
     max_e2: int
     entries: dict[tuple[int, int], int]
 
-    def total(self) -> int:
-        return sum(self.entries.values())
-
     def to_csv(self) -> str:
         lines = ["e1,e2,chi"]
         for e1 in range(self.max_e1 + 1):
@@ -233,7 +230,7 @@ def euler_table(
 
 
 def verify_range(
-    r_max: int,
+    r_max: int | None,
     sum_cap: int,
     config_budget: int = DEFAULT_CONFIG_BUDGET,
     max_exponent: int = DEFAULT_MAX_EXPONENT,
@@ -246,10 +243,12 @@ def verify_range(
     step count exceeds the budget, or whose exponents exceed the cap, are
     reported as skipped, never silently dropped.  Rows come back sorted by
     (r, n) with status pass/fail/skipped.  No cell has r > sum_cap - 4, so
-    ``r_max`` is clamped there and a huge value costs nothing.
+    ``r_max`` is clamped there and a huge value costs nothing; ``r_max=None``
+    means sum_cap - 4.
     """
+    last_r = sum_cap - 4 if r_max is None else min(r_max, sum_cap - 4)
     rows: list[dict] = []
-    for r in range(2, min(r_max, sum_cap - 4) + 1):
+    for r in range(2, last_r + 1):
         for n in range(4, sum_cap - r + 1):
             start = time.perf_counter()
             try:

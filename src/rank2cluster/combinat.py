@@ -1,8 +1,8 @@
 """Families of non-overlapping subpaths and their generating polynomial.
 
-The piece pool of a path consists of every classified subpath (one per
-vertex pair i < k) together with every single edge.  A *family* is a finite
-subset of the pool subject to three rules:
+The pieces of a path are its classified subpaths (one per vertex pair
+i < k, collected by ``build_pool``) and its single edges.  A *family* is a
+finite set of pieces subject to three rules:
 
 1. elements are pairwise edge-disjoint;
 2. two colored elements never chain: the start index of one never equals the
@@ -42,17 +42,13 @@ from .laurent import LaurentPoly2
 
 @dataclass(frozen=True, slots=True)
 class PiecePool:
-    """All candidate family members: classified subpaths plus single edges."""
+    """The classified subpaths of a path, one per vertex pair i < k."""
 
     colored: tuple[ColoredSubpath, ...]
-    singles: tuple[int, ...]
 
 
 def build_pool(path: DyckPath) -> PiecePool:
-    """Classify every vertex pair i < k and collect the single edges.
-
-    Yields exactly C(height+1, 2) colored subpaths and n_edges singles.
-    """
+    """Classify every vertex pair i < k: exactly C(height+1, 2) colored subpaths."""
     firsts = first_exceeding_by_vertex(path)
     colored = []
     for i in range(path.height):
@@ -60,7 +56,7 @@ def build_pool(path: DyckPath) -> PiecePool:
         for k in range(i + 1, path.height + 1):
             first = t_star if (t_star is not None and t_star <= k) else None
             colored.append(_classify_with_first(path, i, k, first))
-    return PiecePool(colored=tuple(colored), singles=tuple(range(1, path.n_edges + 1)))
+    return PiecePool(colored=tuple(colored))
 
 
 def _longest_window(r: int, n: int, dims: DimSequence) -> int:

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .caps import DEFAULT_MAX_EXPONENT
-from .errors import AmbiguousGreenError, ExponentOverflowError
+from .errors import ExponentOverflowError
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,15 +196,20 @@ def _first_exceeding(path: DyckPath, i: int, upper: int) -> int | None:
     return None
 
 
-def _green_params(path: DyckPath, distance: int) -> list[tuple[int, int]]:
-    """All (m, w) with 3 <= m <= n-2, 1 <= w <= r-2 and d(m) - w*d(m-1) == distance."""
+def _green_params(path: DyckPath, distance: int) -> tuple[int, int] | None:
+    """The (m, w) with 3 <= m <= n-2, 1 <= w <= r-2 and d(m) - w*d(m-1) == distance, if any.
+
+    At most one pair matches.  At a level m the distances fall strictly as w
+    grows, since d(m-1) >= 1, so they fill [2d(m-1) - d(m-2), d(m) - d(m-1)];
+    level m+1 starts at 2d(m) - d(m-1), above d(m) - d(m-1).  So no two pairs
+    share a distance, and one ``divmod`` per level finds the match.
+    """
     dims = path.dims
-    matches = []
     for m in range(3, path.n - 1):
-        for w in range(1, path.r - 1):
-            if dims.value(m) - w * dims.value(m - 1) == distance:
-                matches.append((m, w))
-    return matches
+        w, rest = divmod(dims.value(m) - distance, dims.value(m - 1))
+        if not rest and 1 <= w <= path.r - 2:
+            return m, w
+    return None
 
 
 def _classify_with_first(path: DyckPath, i: int, k: int, t_star: int | None) -> ColoredSubpath:
@@ -217,14 +222,9 @@ def _classify_with_first(path: DyckPath, i: int, k: int, t_star: int | None) -> 
     # below it), so non-blue classifications always have i >= 1 and the
     # immediate predecessor of v_i exists.
     assert i >= 1, "non-blue classification at i=0 contradicts the on-or-below invariant"
-    matches = _green_params(path, t_star - i)
-    if len(matches) > 1:
-        raise AmbiguousGreenError(
-            f"distance {t_star - i} matches multiple (m, w) pairs {matches} "
-            f"for (r={path.r}, n={path.n}, i={i}, k={k})"
-        )
-    if matches:
-        m, w = matches[0]
+    params = _green_params(path, t_star - i)
+    if params is not None:
+        m, w = params
         length = path.dims.value(m - 1) - w * path.dims.value(m - 2)
         window = (path.v_index[i] - length + 1, path.v_index[i])
         if window[0] < 1:

@@ -1,9 +1,6 @@
 """Exception types shared across the package.
 
 Each class corresponds to one failure mode of the computation pipeline.
-``AmbiguousGreenError`` is a bug trap: it is never expected to fire on
-valid inputs, and any occurrence indicates an implementation defect rather
-than a user error.
 """
 
 from __future__ import annotations
@@ -27,10 +24,6 @@ class PoleError(Rank2ClusterError):
 
 class ExponentOverflowError(Rank2ClusterError):
     """A dimension value or exponent exceeded the configured cap."""
-
-
-class AmbiguousGreenError(Rank2ClusterError):
-    """Two distinct (m, w) parameter pairs matched one green subpath."""
 
 
 class ConfigBudgetError(Rank2ClusterError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import NonExactDivisionError, PoleError
 
@@ -120,7 +120,8 @@ class LaurentPoly2:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly2):
             return self._terms == other._terms
-        if isinstance(other, int):
+        # A bool is no coefficient (see ``__init__``), so it equals no polynomial.
+        if isinstance(other, int) and not isinstance(other, bool):
             return self._terms == LaurentPoly2._coerce(other)._terms
         return NotImplemented
 
@@ -351,22 +352,6 @@ class LaurentPoly2:
             else:
                 chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(chunks)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LaurentPoly2":
-        """Parse the ``render('json')`` schema back into a polynomial."""
-        payload = json.loads(text)
-        return cls({(term["e1"], term["e2"]): int(term["c"]) for term in payload["terms"]})
-
-
-def poly_sum(parts: Iterable[LaurentPoly2]) -> LaurentPoly2:
-    """Sum an iterable of polynomials (empty sum is zero)."""
-    total: dict[Exponents, int] = {}
-    get = total.get
-    for part in parts:
-        for exps, coeff in part._terms.items():
-            total[exps] = get(exps, 0) + coeff
-    return LaurentPoly2(total)
 
 
 def _to_rows(terms: Mapping[Exponents, int]) -> Rows:

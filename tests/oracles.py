@@ -6,7 +6,9 @@ implementation it checks: the Christoffel word comes from the arithmetic
 recursion oracle's Laurent expansion by inverting the exponent bookkeeping,
 and the brute-force family stream applies the three family rules with its own
 edge and window masks instead of the aggregator's.  ``assert_no_late_greens``
-is a bug trap for the classifier that the package itself never calls.  The
+is a bug trap for the classifier that the package itself never calls, and
+``green_matches`` searches every green parameter pair to pin the classifier's
+one-match lookup.  The
 ``reference_*`` functions are plain Laurent arithmetic on (e1, e2) tuple keys,
 with no row form and no quotient box, to check the package's ring kernel.
 """
@@ -194,6 +196,22 @@ def assert_no_late_greens(path: DyckPath) -> None:
                     f"for (r={path.r}, n={path.n})"
                 )
         m += 1
+
+
+def green_matches(r: int, n: int) -> dict[int, list[tuple[int, int]]]:
+    """Every (m, w) with 3 <= m <= n-2 and 1 <= w <= r-2, grouped by d(m) - w*d(m-1).
+
+    An exhaustive search over its own dimension sequence; the package stops
+    at the first level with a match.
+    """
+    d = [0, 1]  # d[k - 1] is d(k)
+    while len(d) < n - 2:
+        d.append(r * d[-1] - d[-2])
+    matches: dict[int, list[tuple[int, int]]] = {}
+    for m in range(3, n - 1):
+        for w in range(1, r - 1):
+            matches.setdefault(d[m - 1] - w * d[m - 2], []).append((m, w))
+    return matches
 
 
 def lower_christoffel_word(p: int, q: int) -> str:

@@ -4,7 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criteria sweep ranges:
 
 * oracle-equivalence sweep: r >= 2, n >= 4, r + n <= 10 (plus mirrors);
-* geometry checks (Christoffel word, maximality, late-green trap): r + n <= 12;
+* geometry checks (Christoffel word, maximality, late-green trap, green
+  uniqueness): r + n <= 12;
 * brute-force agreement: every (r, n) with at most 22 edges whose family
   count fits the enumeration workload budget; larger cells are reported as
   skipped with their predicted counts, never silently dropped.
@@ -22,11 +23,12 @@ from rank2cluster.cluster import (
     verify_range,
 )
 from rank2cluster.combinat import build_pool, generating_poly
-from rank2cluster.dyck import Color, build_path, dim_sequence
+from rank2cluster.dyck import Color, build_path, dim_sequence, first_exceeding_by_vertex
 from rank2cluster.laurent import LaurentPoly2
 
 from oracles import (
-    X5_R3_TERMS, assert_no_late_greens, bruteforce_poly, family_count, lower_christoffel_word
+    X5_R3_TERMS, assert_no_late_greens, bruteforce_poly, family_count, green_matches,
+    lower_christoffel_word,
 )
 
 SWEEP_CELLS = [(r, n) for r in range(2, 7) for n in range(4, 9) if r + n <= 10]
@@ -170,7 +172,7 @@ def test_criterion_7_fpolys_gvectors_euler_tables():
             table = euler_table(r, n, "positive")
             assert table.entries[(0, 0)] == 1
             assert table.entries[(dims.value(n - 1), dims.value(n - 2))] == 1
-            assert table.total() == f_n.eval_at(1, 1) == family_count(r, n)
+            assert sum(table.entries.values()) == f_n.eval_at(1, 1) == family_count(r, n)
 
 
 def test_criterion_8_late_green_and_ambiguity_traps():
@@ -178,10 +180,15 @@ def test_criterion_8_late_green_and_ambiguity_traps():
         for r, n in GEOMETRY_CELLS:
             path = build_path(r, n)
             assert_no_late_greens(path)
-            # Classifying every pair raises AmbiguousGreenError if two (m, w)
-            # parameter pairs ever matched; reaching here means none did.
+            # No two (m, w) pairs share a distance d(m) - w*d(m-1), and each
+            # green subpath carries the one pair of its first-exceeding distance.
+            matches = green_matches(r, n)
+            assert all(len(pairs) == 1 for pairs in matches.values()), (r, n)
+            firsts = first_exceeding_by_vertex(path)
             pool = build_pool(path)
             assert len(pool.colored) == path.height * (path.height + 1) // 2
             for element in pool.colored:
                 if element.color is Color.GREEN:
                     assert 3 <= element.green_m <= n - 2
+                    distance = firsts[element.i] - element.i
+                    assert matches[distance] == [(element.green_m, element.green_w)]

@@ -50,7 +50,9 @@ def test_expand_latex(capsys):
 def test_expand_json_round_trips(capsys):
     code, out, _ = run(capsys, "expand", "--r", "3", "--n", "5", "--format", "json")
     assert code == 0
-    assert LaurentPoly2.from_json(out) == LaurentPoly2(X5_R3_TERMS)
+    terms = json.loads(out)["terms"]
+    assert all(term["c"] == str(int(term["c"])) for term in terms)
+    assert {(term["e1"], term["e2"]): int(term["c"]) for term in terms} == X5_R3_TERMS
 
 
 def test_expand_cap_breach_exits_2(capsys):
@@ -196,6 +198,29 @@ def test_verify_huge_r_max_is_clamped(capsys, flag, r_max):
     assert strip(out) == strip(reference)
 
 
+@pytest.mark.parametrize(
+    "sum_cap, r_max, cells",
+    [
+        ("5", None, []),
+        ("5", "3", []),
+        ("4", "2", []),
+        ("6", "1", []),
+        ("6", None, [(2, 4)]),
+        ("10", None, [(r, n) for r in range(2, 7) for n in range(4, 11 - r)]),
+    ],
+)
+def test_verify_notes_exactly_an_empty_sweep(capsys, sum_cap, r_max, cells):
+    argv = ["verify", "--sum-cap", sum_cap] + ([] if r_max is None else ["--r-max", r_max])
+    code, out, err = run(capsys, *argv)
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [(row["r"], row["n"], row["status"]) for row in rows] == [
+        (r, n, "pass") for r, n in cells
+    ]
+    note = "note: no cell with 2 <= r <= r-max and 4 <= n <= sum-cap - r; nothing to verify\n"
+    assert err == ("" if rows else note)
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     monkeypatch.setattr(
         cli.cluster,
@@ -310,6 +335,25 @@ def test_verify_takes_common_flags(capsys, tmp_path):
     assert out == ""
     rows = [json.loads(line) for line in target.read_text().splitlines()]
     assert [(row["r"], row["n"], row["status"]) for row in rows] == [(2, 4, "pass")]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("expand", "--help")])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: rank2cluster ")
+    assert err == ""
+
+
+def test_bad_argument_exits_1_with_usage_and_one_error_line(capsys):
+    # Arguments a subcommand leaves unparsed are reported by the top-level parser.
+    code, out, err = run(capsys, "expand", "--r", "3", "--n", "5", "--bogus")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "usage: rank2cluster [-h] {expand,fpoly,gvector,euler,verify,path} ...",
+        "rank2cluster: error: unrecognized arguments: --bogus",
+    ]
 
 
 def test_missing_arguments_exit_1(capsys):

@@ -22,16 +22,14 @@ ENUM_CELLS = [(2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (4, 4), (5, 4), (6
 
 
 def pool_elements(r, n):
-    pool = build_pool(build_path(r, n))
-    return {(c.i, c.k): c for c in pool.colored}, pool.singles
+    return {(c.i, c.k): c for c in build_pool(build_path(r, n)).colored}
 
 
 def test_pool_sizes():
     for (r, n), colored, singles in [((3, 5), 6, 8), ((2, 4), 1, 2), ((3, 4), 1, 3)]:
-        pool = build_pool(build_path(r, n))
-        assert len(pool.colored) == colored
-        assert len(pool.singles) == singles
-        assert pool.singles == tuple(range(1, singles + 1))
+        path = build_path(r, n)
+        assert len(build_pool(path).colored) == colored
+        assert path.n_edges == singles
 
 
 def test_pool_matches_pairwise_classification():
@@ -52,7 +50,7 @@ def test_empty_family_is_member():
 
 def test_green_needs_window_support():
     path = build_path(3, 5)
-    by_pair, _ = pool_elements(3, 5)
+    by_pair = pool_elements(3, 5)
     green = by_pair[(1, 3)]
     assert not is_member(path, Family(colored=(green,), singles=()))
     assert is_member(path, Family(colored=(green,), singles=(3,)))
@@ -62,13 +60,13 @@ def test_green_needs_window_support():
 
 def test_endpoint_chains_are_rejected():
     path = build_path(3, 5)
-    by_pair, _ = pool_elements(3, 5)
+    by_pair = pool_elements(3, 5)
     assert not is_member(path, Family(colored=(by_pair[(0, 1)], by_pair[(1, 2)]), singles=()))
 
 
 def test_edge_overlap_is_rejected():
     path = build_path(3, 5)
-    by_pair, _ = pool_elements(3, 5)
+    by_pair = pool_elements(3, 5)
     assert not is_member(path, Family(colored=(by_pair[(0, 2)],), singles=(4,)))
     assert not is_member(path, Family(colored=(by_pair[(0, 1)], by_pair[(0, 2)]), singles=()))
 
@@ -193,7 +191,7 @@ def test_scan_steps_track_the_row_additions(cell, monkeypatch):
 
 def test_family_json_lines_schema():
     path = build_path(3, 5)
-    by_pair, _ = pool_elements(3, 5)
+    by_pair = pool_elements(3, 5)
     family = Family(colored=(by_pair[(1, 3)],), singles=(3, 1))
     assert family.weight1 == 2
     assert family.weight2 == 7

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from rank2cluster.dyck import (
     Color,
+    _green_params,
     build_path,
     classify,
     dim_sequence,
@@ -10,7 +11,7 @@ from rank2cluster.dyck import (
 )
 from rank2cluster.errors import ExponentOverflowError
 
-from oracles import assert_no_late_greens, lower_christoffel_word
+from oracles import assert_no_late_greens, green_matches, lower_christoffel_word
 
 # (r, n) pairs small enough for exhaustive scans in unit tests.
 SMALL_CELLS = [(r, n) for r in range(2, 7) for n in range(4, 9) if r + n <= 10]
@@ -203,6 +204,23 @@ def test_no_greens_for_r2():
 @pytest.mark.parametrize("cell", [(3, 5), (2, 6), (4, 6)])
 def test_no_late_greens(cell):
     assert_no_late_greens(build_path(*cell))
+
+
+def test_green_params_is_the_one_exhaustive_match():
+    # r = 3..30, every n >= 5 with d(n-2) <= 2000, every distance 1..d(n-2).
+    cells = 0
+    for r in range(3, 31):
+        n = 5
+        while dim_sequence(r, n - 2).value(n - 2) <= 2000:
+            path = build_path(r, n)
+            matches = green_matches(r, n)
+            assert all(len(pairs) == 1 for pairs in matches.values()), (r, n)
+            for distance in range(1, path.height + 1):
+                expected = matches[distance][0] if distance in matches else None
+                assert _green_params(path, distance) == expected, (r, n, distance)
+            cells += 1
+            n += 1
+    assert cells == 74
 
 
 def test_path_json_schema():

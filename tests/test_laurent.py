@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rank2cluster.errors import NonExactDivisionError, PoleError
-from rank2cluster.laurent import LaurentPoly2, poly_sum
+from rank2cluster.laurent import LaurentPoly2
 
 from oracles import EQ3_NUMERATOR_TERMS, reference_div_exact, reference_mul, reference_pow
 
@@ -215,22 +215,21 @@ def test_constructor_rejects_non_int_exponents(slot, exponent):
         LaurentPoly2({tuple(exps): 1})
 
 
-def test_from_json_rejects_float_exponents():
-    with pytest.raises(TypeError):
-        LaurentPoly2.from_json('{"terms": [{"e1": 2.7, "e2": 0, "c": "1"}]}')
-
-
-def test_poly_sum():
-    assert poly_sum([X1, X2, ONE]) == X1 + X2 + 1
-    assert poly_sum([]) == ZERO
-
-
 def test_poly_sum_cancels_to_zero():
     parts = [X1, -X2, 3 * ONE, X2, -X1, LaurentPoly2({(0, 0): -3})]
-    total = poly_sum(parts)
+    total = sum(parts, ZERO)
     assert total == ZERO
     assert total.terms == {}
-    assert poly_sum([X1, -X1, X2]) == X2
+    assert X1 + -X1 + X2 == X2
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_eq_with_a_bool_is_false(flag):
+    # A bool is no coefficient, so comparing with one must not raise.
+    for p in (X1, ONE, ZERO):
+        assert (p == flag) is False
+        assert (flag == p) is False
+        assert p != flag
 
 
 @given(polys, polys, polys)
@@ -295,4 +294,6 @@ def test_canonical_form_has_no_zero_coefficients(p, q):
 
 @given(polys)
 def test_json_round_trip(p):
-    assert LaurentPoly2.from_json(p.render("json")) == p
+    terms = json.loads(p.render("json"))["terms"]
+    assert all(term["c"] == str(int(term["c"])) for term in terms)
+    assert LaurentPoly2({(term["e1"], term["e2"]): int(term["c"]) for term in terms}) == p
