@@ -20,6 +20,7 @@ sweep has no cell.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -43,7 +44,9 @@ def _overlay_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'i,k' with integers, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rank2cluster",
         description="Exact rank-2 cluster variables via maximal Dyck path combinatorics.",

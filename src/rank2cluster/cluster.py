@@ -8,14 +8,17 @@ Two independent routes compute the same expansions:
 
 * ``oracle`` iterates the recursion with exact Laurent division (forward for
   indices above 2, backward below 1).  Exact division doubles as a built-in
-  Laurentness assertion.
+  Laurentness assertion.  ``_walk`` writes the recursion step once; the
+  oracle takes one value from it.
 * ``cluster_variable`` assembles the expansion from the Dyck-path generating
   polynomial of x_n, n = max(index, 3 - index) >= 3, and mirrors it through
   ``swap_vars`` for indices <= 0.  Indices 1 and 2 return the generators.
 
 ``verify_range`` sweeps both routes against each other and is the package's
-own correctness gate.  The combinatorial route requires r >= 2; r = 1 (the
-five-periodic case) is supported by the oracle only.
+own correctness gate.  It opens one walk up and one walk down per r and
+advances them cell by cell, so a sweep to n = N pays for x_N once.  The
+combinatorial route requires r >= 2; r = 1 (the five-periodic case) is
+supported by the oracle only.
 
 Both routes admit a cell from d(1)..d(n) before any path, pool or recursion
 step exists: ``max_exponent`` caps d(n), x_n's largest exponent, and
@@ -25,8 +28,10 @@ step exists: ``max_exponent`` caps d(n), x_n's largest exponent, and
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
 from .combinat import check_budget, generating_poly
@@ -84,8 +89,22 @@ def _admit(r: int, index: int, max_exponent: int) -> DimSequence:
     return dim_sequence(r, max(index, 3 - index), max_exponent=max_exponent)
 
 
+def _walk(r: int, downward: bool) -> Iterator[LaurentPoly2]:
+    """x_3, x_4, ... (x_0, x_-1, ... when ``downward``), one recursion step per value.
+
+    Holds only the last two values.  Downward, x_{m-1} = (x_m^r + 1) / x_{m+1}:
+    the same recursion started from (x2, x1) instead of (x1, x2).
+    """
+    prev, cur = LaurentPoly2.var1(), LaurentPoly2.var2()
+    if downward:
+        prev, cur = cur, prev
+    while True:
+        prev, cur = cur, (cur**r + 1).div_exact(prev)
+        yield cur
+
+
 def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> LaurentPoly2:
-    """Exact Laurent expansion of x_index by iterating the recursion.
+    """Exact Laurent expansion of x_index: step index - 2 (or 1 - index) of one ``_walk``.
 
     Works for any r >= 1 and any integer index, in both directions.  A
     non-exact division cannot happen (it would falsify the Laurent
@@ -95,21 +114,19 @@ def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Laur
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    # Downward, x_{m-1} = (x_m^r + 1) / x_{m+1}: the same recursion started
-    # from (x2, x1) instead of (x1, x2).
     if index >= 2:
-        prev, cur, steps = LaurentPoly2.var1(), LaurentPoly2.var2(), index - 2
+        value, steps = LaurentPoly2.var2(), index - 2
     else:
-        prev, cur, steps = LaurentPoly2.var2(), LaurentPoly2.var1(), 1 - index
+        value, steps = LaurentPoly2.var1(), 1 - index
     if r >= 2:
         _admit(r, index, max_exponent)
     elif steps and max_exponent < 1:
         raise ExponentOverflowError(f"exponent magnitude 1 exceeds the cap {max_exponent} (r=1)")
     else:
         steps = (steps - 1) % 5 + 1 if steps else 0  # r = 1 is five-periodic
-    for _ in range(steps):
-        prev, cur = cur, (cur**r + 1).div_exact(prev)
-    return cur
+    for value in islice(_walk(r, downward=index < 2), steps):
+        pass
+    return value
 
 
 @lru_cache(maxsize=128)
@@ -238,26 +255,31 @@ def verify_range(
     """Sweep formula vs. oracle for all 2 <= r <= r_max, 4 <= n, r + n <= sum_cap.
 
     Each cell checks exact equality of the formula expansion against the
-    recursion oracle at index n AND at the mirrored index 3 - n (whose
-    formula is the variable swap of the first).  Cells whose aggregation
-    step count exceeds the budget, or whose exponents exceed the cap, are
-    reported as skipped, never silently dropped.  Rows come back sorted by
-    (r, n) with status pass/fail/skipped.  No cell has r > sum_cap - 4, so
-    ``r_max`` is clamped there and a huge value costs nothing; ``r_max=None``
-    means sum_cap - 4.
+    recursion at index n AND at the mirrored index 3 - n (whose formula is
+    the variable swap of the first).  Per r, one walk up and one walk down
+    (``_walk``, independent recursions) advance with n, so each cell pays
+    only the steps from the last admitted cell to x_n and x_(3-n).  Cells
+    whose aggregation step count exceeds the budget, or whose exponents
+    exceed the cap, are reported as skipped, never silently dropped, and
+    take no recursion step.  Rows come back sorted by (r, n) with status
+    pass/fail/skipped; ``millis`` times the formula and the new steps.  No
+    cell has r > sum_cap - 4, so ``r_max`` is clamped there and a huge value
+    costs nothing; ``r_max=None`` means sum_cap - 4.
     """
     last_r = sum_cap - 4 if r_max is None else min(r_max, sum_cap - 4)
     rows: list[dict] = []
     for r in range(2, last_r + 1):
+        walks = zip(_walk(r, downward=False), _walk(r, downward=True))
+        reached = 2  # the walks stand at x_reached and x_(3 - reached)
         for n in range(4, sum_cap - r + 1):
             start = time.perf_counter()
             try:
-                agree = all(
-                    cluster_variable(r, i, config_budget, max_exponent).value
-                    == oracle(r, i, max_exponent=max_exponent)
-                    for i in (n, 3 - n)
-                )
-                status = "pass" if agree else "fail"
+                up = cluster_variable(r, n, config_budget, max_exponent).value
+                down = cluster_variable(r, 3 - n, config_budget, max_exponent).value
+                for x_up, x_down in islice(walks, n - reached):
+                    pass
+                reached = n
+                status = "pass" if up == x_up and down == x_down else "fail"
             except (ConfigBudgetError, ExponentOverflowError):
                 status = "skipped"
             millis = int((time.perf_counter() - start) * 1000)

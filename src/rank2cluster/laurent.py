@@ -126,6 +126,9 @@ class LaurentPoly2:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # Zero and a lone constant term equal that int, so they hash like it.
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:

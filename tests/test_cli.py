@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -441,3 +442,21 @@ def test_cli_argv_fuzz_keeps_the_error_contract(capsys, tmp_path, argv):
     assert "Traceback" not in err
     if code != 0 and not err.startswith("usage:"):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+def test_verify_catches_one_wrong_mirrored_value(capsys, monkeypatch):
+    formula = cli.cluster.cluster_variable
+
+    def wrong_at_2_minus_5(r, index, *args, **kwargs):
+        var = formula(r, index, *args, **kwargs)
+        if (r, index) == (2, -5):
+            return dataclasses.replace(var, value=var.value + 1)
+        return var
+
+    monkeypatch.setattr(cli.cluster, "cluster_variable", wrong_at_2_minus_5)
+    code, out, _ = run(capsys, "verify", "--sum-cap", "12", "--r-max", "2")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 3
+    assert [(row["n"], row["status"]) for row in rows] == [
+        (n, "fail" if n == 8 else "pass") for n in range(4, 11)
+    ]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rank2cluster import cluster
+from rank2cluster.caps import DEFAULT_MAX_EXPONENT
 from rank2cluster.cluster import (
     GVector,
     cluster_variable,
@@ -306,3 +307,80 @@ def test_verify_range_sorted_rows():
     rows = verify_range(4, 9)
     keys = [(row["r"], row["n"]) for row in rows]
     assert keys == sorted(keys)
+
+
+def _count_divisions(monkeypatch):
+    """Count ``div_exact`` calls, one per recursion step."""
+    calls = []
+    divide = LaurentPoly2.div_exact
+
+    def counting(self, divisor):
+        calls.append(1)
+        return divide(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly2, "div_exact", counting)
+    return calls
+
+
+def test_verify_range_walks_each_step_once(monkeypatch):
+    calls = _count_divisions(monkeypatch)
+    rows = verify_range(2, 24)
+    assert [row["n"] for row in rows] == list(range(4, 23))
+    assert all(row["status"] == "pass" for row in rows)
+    # x_3..x_22 up and x_0..x_-19 down: 20 steps each.
+    assert len(calls) == 2 * (22 - 2)
+
+
+def test_verify_range_opens_one_walk_up_and_one_down_per_r(monkeypatch):
+    calls = _count_divisions(monkeypatch)
+    opened = []
+    walk = cluster._walk
+
+    def recording(r, downward):
+        opened.append((r, downward))
+        return walk(r, downward)
+
+    monkeypatch.setattr(cluster, "_walk", recording)
+    verify_range(None, 10)
+    assert opened == [(r, downward) for r in range(2, 7) for downward in (False, True)]
+    assert len(calls) == sum(2 * (10 - r - 2) for r in range(2, 7))
+
+
+@pytest.mark.parametrize("r_max, sum_cap, caps, admitted", [
+    # d(2, n) = n - 1, so the cap admits n <= 15 and skips 16..22.
+    (2, 24, {"max_exponent": 14}, {2: 15}),
+    # The budget skips (3, 6) and (3, 7) and admits every r = 2 cell.
+    (3, 10, {"config_budget": 10**4}, {2: 8, 3: 5}),
+])
+def test_verify_range_takes_no_step_for_a_skipped_cell(monkeypatch, r_max, sum_cap, caps, admitted):
+    calls = _count_divisions(monkeypatch)
+    rows = verify_range(r_max, sum_cap, **caps)
+    for row in rows:
+        expected = "pass" if row["n"] <= admitted[row["r"]] else "skipped"
+        assert row["status"] == expected, row
+    assert "skipped" in {row["status"] for row in rows}
+    assert len(calls) == sum(2 * (top - 2) for top in admitted.values())
+
+
+@pytest.mark.parametrize("r_max, sum_cap, caps", [
+    (None, 10, {}),
+    (3, 10, {"config_budget": 10**4}),
+    (6, 11, {"max_exponent": 20}),
+])
+def test_verify_range_rows_match_a_per_cell_reference(r_max, sum_cap, caps):
+    def reference(r, n):
+        try:
+            agree = all(
+                cluster_variable(r, i, **caps).value
+                == oracle(r, i, caps.get("max_exponent", DEFAULT_MAX_EXPONENT))
+                for i in (n, 3 - n)
+            )
+        except (ConfigBudgetError, ExponentOverflowError):
+            return "skipped"
+        return "pass" if agree else "fail"
+
+    last_r = sum_cap - 4 if r_max is None else r_max
+    cells = [(r, n) for r in range(2, last_r + 1) for n in range(4, sum_cap - r + 1)]
+    rows = [{k: v for k, v in row.items() if k != "millis"}
+            for row in verify_range(r_max, sum_cap, **caps)]
+    assert rows == [{"r": r, "n": n, "status": reference(r, n)} for r, n in cells]

@@ -232,6 +232,23 @@ def test_eq_with_a_bool_is_false(flag):
         assert p != flag
 
 
+@pytest.mark.parametrize("value", [0, 1, -7, 2**70])
+def test_a_constant_hashes_like_the_int_it_equals(value):
+    poly = LaurentPoly2.monomial(0, 0, value)
+    assert poly == value
+    assert hash(poly) == hash(value)
+    assert value in {poly}
+    assert poly in {value}
+
+
+def test_hash_agrees_with_eq_off_the_constants():
+    poly = 3 * LaurentPoly2.monomial(1, -2) + 1
+    same = LaurentPoly2({(0, 0): 1, (1, -2): 3})
+    assert poly == same and hash(poly) == hash(same)
+    assert same in {poly}
+    assert poly != 1 and poly not in {1, 3}
+
+
 @given(polys, polys, polys)
 def test_ring_axioms(p, q, s):
     assert (p + q) + s == p + (q + s)
