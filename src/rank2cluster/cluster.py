@@ -140,11 +140,6 @@ def _generating_poly_cached(
     return gen, dims.value(n - 1), dims.value(n - 2)
 
 
-def _reflect(gen: LaurentPoly2, e_total: int, h_total: int) -> LaurentPoly2:
-    """Map each term y1^weight2 y2^weight1 to y1^(e_total - weight2) y2^(h_total - weight1)."""
-    return LaurentPoly2({(e_total - a, h_total - b): count for (a, b), count in gen.terms.items()})
-
-
 def cluster_variable(
     r: int,
     index: int,
@@ -164,7 +159,7 @@ def cluster_variable(
     else:
         n = max(index, 3 - index)
         gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
-        value = LaurentPoly2({
+        value = LaurentPoly2._canonical({  # one-to-one, as r >= 2
             (r * w1 - e_total, r * (e_total - w2) - h_total): count
             for (w2, w1), count in gen.terms.items()
         })
@@ -204,15 +199,20 @@ def f_polynomial(
     Defined for index >= 3 or index <= 0 (the initial cluster has no
     F-polynomial here).  For n >= 3 the positive-index polynomial is
     sum(y1^weight2 * y2^weight1) over families, which is exactly the
-    generating polynomial; the mirrored index reflects the statistics within
-    the bounding rectangle.
+    generating polynomial; the mirrored index 3 - n takes each family to
+    y1^(d(n-2) - weight1) * y2^(d(n-1) - weight2), the statistics reflected
+    within the bounding rectangle with the variables swapped.
     """
     _admit(r, index, max_exponent)
     if index in (1, 2):
         raise ValueError("F-polynomials are defined for index >= 3 or index <= 0")
     n = max(index, 3 - index)
     gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
-    return gen if index >= 3 else _reflect(gen, e_total, h_total).swap_vars()
+    if index >= 3:
+        return gen
+    return LaurentPoly2._canonical({  # a reflection: one-to-one
+        (h_total - w1, e_total - w2): count for (w2, w1), count in gen.terms.items()
+    })
 
 
 def euler_table(
@@ -224,20 +224,23 @@ def euler_table(
 ) -> EulerTable:
     """Euler-characteristic table of the subrepresentation varieties, n >= 3.
 
-    Positive sign: entry (e1, e2) counts families with weight1 = d(n-2) - e2
-    and weight2 = d(n-1) - e1, over the full rectangle
-    [0, d(n-1)] x [0, d(n-2)].  Negative sign: entry (e1, e2) counts families
-    with weight1 = e1 and weight2 = e2, over the transposed rectangle.
+    Entry (e1, e2) is the coefficient of y1^e2 y2^e1 in an F-polynomial.
+    Positive sign: that of x_(3-n), the count of families with weight1 =
+    d(n-2) - e2 and weight2 = d(n-1) - e1, over the full rectangle
+    [0, d(n-1)] x [0, d(n-2)].  Negative sign: that of x_n, the count of
+    families with weight1 = e1 and weight2 = e2, over the transposed rectangle.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
+    dims = _admit(r, n, max_exponent)
+    e_total, h_total = dims.value(n - 1), dims.value(n - 2)
     if sign == "positive":
-        source, max_e1, max_e2 = _reflect(gen, e_total, h_total), e_total, h_total
+        index, max_e1, max_e2 = 3 - n, e_total, h_total
     else:
-        source, max_e1, max_e2 = gen.swap_vars(), h_total, e_total
+        index, max_e1, max_e2 = n, h_total, e_total
+    source = f_polynomial(r, index, config_budget, max_exponent).swap_vars()
     entries = {
         (e1, e2): source.coefficient(e1, e2)
         for e1 in range(max_e1 + 1)

@@ -153,8 +153,9 @@ def generating_poly(path: DyckPath, config_budget: int = DEFAULT_CONFIG_BUDGET) 
 
     total = _accumulate(dict(near[top]), marker)
     mask = (1 << width) - 1
-    return LaurentPoly2({
-        (e, w1): (packed >> e * width) & mask
+    return LaurentPoly2._canonical({
+        (e, w1): coeff
         for w1, packed in total.items()
         for e in range(n_edges + 1)
+        if (coeff := (packed >> e * width) & mask)
     })

@@ -13,14 +13,16 @@ are safe to share across threads.
 
 The ring kernel the recursion oracle runs on (``*``, ``**`` and
 ``div_exact``) works on rows, ``{e1: {e2: coeff}}`` with int keys, and
-converts to and from the canonical map once per call.  ``**`` squares and
-multiplies in rows; a square takes each pair of distinct rows once.
-``div_exact`` walks the quotient lowest first, rows of e1 ascending and e2
-ascending inside a row, so every subtraction lands later in the walk and each
-remainder row is walked once.  The quotient's exponents must lie in the box
-min(dividend) - min(divisor) .. max(dividend) - max(divisor); that box bounds
-the walk, so a non-exact division raises ``NonExactDivisionError`` and never
-loops.
+converts to and from the canonical map once per call.  One row-product
+routine, ``_add_product``, serves ``*``, ``**`` (a square takes each pair of
+distinct rows once) and the row subtraction of ``div_exact``, which walks the
+quotient lowest first, rows of e1 ascending and e2 ascending inside a row, so
+every subtraction lands later in the walk and each remainder row is walked
+once.  The quotient's exponents must lie in the box min(dividend) -
+min(divisor) .. max(dividend) - max(divisor); that box bounds the walk, so a
+non-exact division raises ``NonExactDivisionError`` and never loops.  Maps the
+package built canonical itself skip ``__init__``'s checks through the one
+trusted constructor, ``LaurentPoly2._canonical``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,13 @@ class LaurentPoly2:
         self._terms = canonical
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, terms: dict[Exponents, int]) -> "LaurentPoly2":
+        """Wrap, unchecked and uncopied, a canonical term map the package built."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
     @classmethod
     def zero(cls) -> "LaurentPoly2":
@@ -140,8 +149,9 @@ class LaurentPoly2:
     def _coerce(value: Scalar) -> "LaurentPoly2":
         if isinstance(value, LaurentPoly2):
             return value
-        if isinstance(value, int):
-            return LaurentPoly2({(0, 0): value}) if value else LaurentPoly2()
+        # A bool is no coefficient (see ``__init__``), so it is no scalar either.
+        if isinstance(value, int) and not isinstance(value, bool):
+            return LaurentPoly2._canonical({(0, 0): value} if value else {})
         raise TypeError(f"cannot coerce {type(value).__name__} to LaurentPoly2")
 
     def __add__(self, other: Scalar) -> "LaurentPoly2":
@@ -153,16 +163,12 @@ class LaurentPoly2:
                 out[exps] = acc
             else:
                 out.pop(exps, None)
-        result = LaurentPoly2.__new__(LaurentPoly2)
-        result._terms = out
-        return result
+        return LaurentPoly2._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly2":
-        result = LaurentPoly2.__new__(LaurentPoly2)
-        result._terms = {exps: -coeff for exps, coeff in self._terms.items()}
-        return result
+        return LaurentPoly2._canonical({exps: -coeff for exps, coeff in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> "LaurentPoly2":
         return self + (-self._coerce(other))
@@ -172,12 +178,12 @@ class LaurentPoly2:
 
     def __mul__(self, other: Scalar) -> "LaurentPoly2":
         other = self._coerce(other)
-        return _from_rows(_row_product(_to_rows(self._terms), _to_rows(other._terms)))
+        return _from_rows(_add_product({}, _to_rows(self._terms), _to_rows(other._terms)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly2":
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
         if k == 0:
             return LaurentPoly2.one()
@@ -185,14 +191,14 @@ class LaurentPoly2:
         result = None
         while True:
             if k & 1:
-                result = base if result is None else _row_product(result, base)
+                result = base if result is None else _add_product({}, result, base)
             k >>= 1
             if not k:
                 return _from_rows(result)
-            base = _row_product(base, base)
+            base = _add_product({}, base, base)
 
-    def div_exact(self, divisor: "LaurentPoly2") -> "LaurentPoly2":
-        """Exact division: return t with t * divisor == self.
+    def div_exact(self, divisor: Scalar) -> "LaurentPoly2":
+        """Exact division: return t with t * divisor == self; ints coerce as for ``*``.
 
         The extreme exponents of a product are the sums of its factors', so
         an exact quotient lies in the box min(self) - min(divisor) <= (e1, e2)
@@ -201,14 +207,16 @@ class LaurentPoly2:
 
         Quotient terms are found lowest first in one fixed order, rows of e1
         ascending and e2 ascending inside a row, by dividing the remainder's
-        next term by the divisor's lowest term in that order.  Subtracting
-        ``term * divisor`` only touches positions later in the walk, so each
-        remainder row is walked once, from a heap of its keys that also takes
-        the keys the row gains on the way.  A remainder term outside the box,
-        a coefficient not divisible over Z, or a nonzero remainder in the rows
-        above the box raises ``NonExactDivisionError``.  The box bounds the
-        walk, so every call ends.
+        next term by the divisor's lowest term in that order.  Each remainder
+        row is walked once, from a heap of its keys that also takes the keys
+        the divisor's lowest row adds; the finished quotient row times the
+        divisor's other rows is then subtracted from later rows by
+        ``_add_product``, the routine of ``*`` and ``**``.  A remainder term
+        outside the box, a coefficient not divisible over Z, or a nonzero
+        remainder in the rows above the box raises ``NonExactDivisionError``.
+        The box bounds the walk, so every call ends.
         """
+        divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
@@ -229,15 +237,13 @@ class LaurentPoly2:
         if first1 > last1 or first2 > last2:
             raise NonExactDivisionError("divisor spans more exponents than the dividend")
 
-        # Every other divisor term as its offset from the lowest term (lo1,
-        # lead2), with its coefficient negated for the subtraction.
+        # The lowest divisor row's other terms as offsets from its lowest term
+        # (lo1, lead2), and the divisor's other rows; all negated.
         lead_row = den.pop(lo1)
         lead2 = min(lead_row)
         lead_coeff = lead_row.pop(lead2)
         same_row = [(d2 - lead2, -dc) for d2, dc in lead_row.items()]
-        later_rows = [
-            (d1 - lo1, [(d2 - lead2, -dc) for d2, dc in row.items()]) for d1, row in den.items()
-        ]
+        rest = {d1: {d2: -dc for d2, dc in row.items()} for d1, row in den.items()}
         low_key, high_key = first2 + lead2, last2 + lead2
 
         quotient: Rows = {}
@@ -267,14 +273,7 @@ class LaurentPoly2:
                         heappush(heap, k)
                     else:
                         row[k] = old + coeff * neg
-                for off1, items in later_rows:
-                    target = rem.get(e1 + off1)
-                    if target is None:
-                        target = rem[e1 + off1] = {}
-                    get = target.get
-                    for off2, neg in items:
-                        k = key + off2
-                        target[k] = get(k, 0) + coeff * neg
+            _add_product(rem, {e1 - lo1: qrow}, rest)
         if any(any(row.values()) for row in rem.values()):
             raise NonExactDivisionError("nonzero remainder above the quotient box")
         return _from_rows(quotient)
@@ -298,9 +297,7 @@ class LaurentPoly2:
 
     def swap_vars(self) -> "LaurentPoly2":
         """Interchange the two variables: term (e1, e2) becomes (e2, e1)."""
-        result = LaurentPoly2.__new__(LaurentPoly2)
-        result._terms = {(e2, e1): c for (e1, e2), c in self._terms.items()}
-        return result
+        return LaurentPoly2._canonical({(e2, e1): c for (e1, e2), c in self._terms.items()})
 
     # -- rendering -----------------------------------------------------------
 
@@ -371,21 +368,19 @@ def _to_rows(terms: Mapping[Exponents, int]) -> Rows:
 
 def _from_rows(rows: Rows) -> LaurentPoly2:
     """The canonical polynomial of a row map; zero coefficients are dropped."""
-    result = LaurentPoly2.__new__(LaurentPoly2)
-    result._terms = {
+    return LaurentPoly2._canonical({
         (e1, e2): coeff for e1, row in rows.items() for e2, coeff in row.items() if coeff
-    }
-    return result
+    })
 
 
-def _row_product(a: Rows, b: Rows) -> Rows:
-    """Product of two row maps; rows may keep zero coefficients.
+def _add_product(out: Rows, a: Rows, b: Rows) -> Rows:
+    """Add the product of two row maps into ``out`` and return it.
 
-    A square (``a is b``) takes each pair of distinct rows once, with doubled
-    coefficients, for about half the work of a general product.
+    Rows may keep zero coefficients.  A square (``a is b``) takes each pair of
+    distinct rows once, with doubled coefficients, for about half the work of
+    a general product.
     """
     square = a is b
-    out: Rows = {}
     b_rows = [(b1, list(row.items())) for b1, row in b.items()]
     for a1, a_row in a.items():
         a_items = list(a_row.items())

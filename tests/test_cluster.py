@@ -282,6 +282,34 @@ def test_euler_table_csv():
     assert sum(int(line.split(",")[2]) for line in lines[1:]) == 365
 
 
+# Per r, the indices from -6 to 9 whose formula the default budget admits;
+# each finishes in under 1 s.
+CANONICAL_INDICES = {2: range(-6, 10), 3: range(-5, 9), 4: range(-4, 8), 5: range(-3, 7)}
+
+
+def _assert_canonical(poly):
+    # ``type(x) is int`` also refuses bools, which ``isinstance`` would pass.
+    for (e1, e2), coeff in poly.terms.items():
+        assert type(e1) is int and type(e2) is int
+        assert type(coeff) is int and coeff != 0
+
+
+@pytest.mark.parametrize("r", sorted(CANONICAL_INDICES))
+def test_engines_return_canonical_term_maps(r):
+    for index in CANONICAL_INDICES[r]:
+        if index >= 3:
+            _assert_canonical(generating_poly(build_path(r, index)))
+        if index not in (1, 2):
+            _assert_canonical(f_polynomial(r, index))
+        _assert_canonical(cluster_variable(r, index).value)
+        _assert_canonical(oracle(r, index))
+
+
+def test_r1_oracle_returns_canonical_term_maps():
+    for index in range(-6, 10):
+        _assert_canonical(oracle(1, index))
+
+
 def test_euler_table_validates_args():
     with pytest.raises(ValueError):
         euler_table(3, 2)

@@ -146,6 +146,38 @@ def test_div_by_zero():
         ONE.div_exact(ZERO)
 
 
+def test_div_exact_takes_an_int_like_mul():
+    assert (2 * X1).div_exact(2) == X1
+    assert (6 * X1 * X2 - 3).div_exact(-3) == 1 - 2 * X1 * X2
+    assert ZERO.div_exact(5) == ZERO
+    with pytest.raises(NonExactDivisionError, match="not divisible"):
+        (3 * X1).div_exact(2)
+    with pytest.raises(ZeroDivisionError):
+        X1.div_exact(0)
+
+
+@pytest.mark.parametrize("operand", [True, False, 2.0])
+@pytest.mark.parametrize("operation", [
+    lambda p, v: p.div_exact(v),
+    lambda p, v: p * v,
+    lambda p, v: v * p,
+    lambda p, v: p + v,
+    lambda p, v: p - v,
+    lambda p, v: v - p,
+], ids=["div_exact", "mul", "rmul", "add", "sub", "rsub"])
+def test_ring_operations_reject_a_bool_or_float_operand(operation, operand):
+    # A bool is no coefficient (see the constructor), so no operation takes one.
+    for p in (2 * X1, ZERO):
+        with pytest.raises(TypeError):
+            operation(p, operand)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, -1])
+def test_pow_rejects_a_bool_float_or_negative_exponent(k):
+    with pytest.raises(ValueError):
+        X1**k
+
+
 def test_eval_at_negative_exponent():
     assert LaurentPoly2.monomial(-1, 0).eval_at(2, 1) == Fraction(1, 2)
 
@@ -303,9 +335,12 @@ def test_swap_vars_is_involution(p):
     assert p.swap_vars().swap_vars() == p
 
 
-@given(polys, polys)
-def test_canonical_form_has_no_zero_coefficients(p, q):
-    for result in (p + q, p * q, p - q):
+@given(polys, polys, st.integers(min_value=0, max_value=4))
+def test_canonical_form_has_no_zero_coefficients(p, q, k):
+    results = [p + q, p * q, p - q, p**k, -p, p.swap_vars()]
+    if q:
+        results.append((p * q).div_exact(q))
+    for result in results:
         assert all(coeff != 0 for coeff in result.terms.values())
 
 
