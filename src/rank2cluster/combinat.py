@@ -33,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CONFIG_BUDGET
-from .dyck import (
-    Color, ColoredSubpath, DimSequence, DyckPath, _classify_with_first, first_exceeding_by_vertex
-)
+from .dyck import Color, ColoredSubpath, DimSequence, DyckPath, _classify_with_first
+from .dyck import first_exceeding_by_vertex, green_table
 from .errors import ConfigBudgetError
 from .laurent import LaurentPoly2
 
@@ -49,18 +48,15 @@ class PiecePool:
 
 def build_pool(path: DyckPath) -> PiecePool:
     """Classify every vertex pair i < k: exactly C(height+1, 2) colored subpaths."""
-    firsts = first_exceeding_by_vertex(path)
-    colored = []
-    for i in range(path.height):
-        t_star = firsts[i]
-        for k in range(i + 1, path.height + 1):
-            first = t_star if (t_star is not None and t_star <= k) else None
-            colored.append(_classify_with_first(path, i, k, first))
-    return PiecePool(colored=tuple(colored))
+    firsts, greens = first_exceeding_by_vertex(path), green_table(path)
+    return PiecePool(colored=tuple(
+        _classify_with_first(path, greens, i, k, firsts[i])
+        for i in range(path.height) for k in range(i + 1, path.height + 1)
+    ))
 
 
 def _longest_window(r: int, n: int, dims: DimSequence) -> int:
-    """An upper bound g >= 1 on the edge count of every green window.
+    """The longest window g of ``green_table``, or 1 without greens, before any path exists.
 
     A window has d(m-1) - w*d(m-2) edges with 3 <= m <= n-2 and w >= 1, so
     m = n-2, w = 1 is the largest: d(k) - d(k-1) never decreases when r >= 2.

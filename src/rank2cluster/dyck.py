@@ -196,65 +196,56 @@ def _first_exceeding(path: DyckPath, i: int, upper: int) -> int | None:
     return None
 
 
-def _green_params(path: DyckPath, distance: int) -> tuple[int, int] | None:
-    """The (m, w) with 3 <= m <= n-2, 1 <= w <= r-2 and d(m) - w*d(m-1) == distance, if any.
+def green_table(path: DyckPath) -> dict[int, tuple[int, int, int]]:
+    """The paper's green condition: each distance d(m) - w*d(m-1) -> (m, w, window edges).
 
-    At most one pair matches.  At a level m the distances fall strictly as w
-    grows, since d(m-1) >= 1, so they fill [2d(m-1) - d(m-2), d(m) - d(m-1)];
-    level m+1 starts at 2d(m) - d(m-1), above d(m) - d(m-1).  So no two pairs
-    share a distance, and one ``divmod`` per level finds the match.
+    Covers 3 <= m <= n-2 and 1 <= w <= r-2; the window has d(m-1) - w*d(m-2)
+    edges.  No two pairs share a distance: at a level m the distances fall
+    strictly as w grows, since d(m-1) >= 1, so they fill
+    [2d(m-1) - d(m-2), d(m) - d(m-1)], and level m+1 starts at
+    2d(m) - d(m-1), above d(m) - d(m-1).  The (n-4)(r-2) entries are at most
+    the path's d(n-1) edges; there are none when r = 2 or n <= 4.
     """
-    dims = path.dims
-    for m in range(3, path.n - 1):
-        w, rest = divmod(dims.value(m) - distance, dims.value(m - 1))
-        if not rest and 1 <= w <= path.r - 2:
-            return m, w
-    return None
+    d = path.dims.value
+    return {
+        d(m) - w * d(m - 1): (m, w, d(m - 1) - w * d(m - 2))
+        for m in range(3, path.n - 1)
+        for w in range(1, path.r - 1)
+    }
 
 
-def _classify_with_first(path: DyckPath, i: int, k: int, t_star: int | None) -> ColoredSubpath:
-    if t_star is None:
-        return ColoredSubpath(
-            i=i, k=k, color=Color.BLUE,
-            edge_span=(path.v_index[i] + 1, path.v_index[k]),
-        )
+def _classify_with_first(path: DyckPath, greens: dict[int, tuple[int, int, int]], i: int, k: int,
+                         t_star: int | None) -> ColoredSubpath:
+    """Classify (v_i, v_k) from ``greens = green_table(path)`` and v_i's first exceeding t*."""
+    start, end = path.v_index[i], path.v_index[k]
+    if t_star is None or t_star > k:  # the one blue rule: no slope up to v_k exceeds
+        return ColoredSubpath(i=i, k=k, color=Color.BLUE, edge_span=(start + 1, end))
     # A slope from v_0 can never exceed the diagonal (every vertex lies on or
     # below it), so non-blue classifications always have i >= 1 and the
     # immediate predecessor of v_i exists.
     assert i >= 1, "non-blue classification at i=0 contradicts the on-or-below invariant"
-    params = _green_params(path, t_star - i)
-    if params is not None:
-        m, w = params
-        length = path.dims.value(m - 1) - w * path.dims.value(m - 2)
-        window = (path.v_index[i] - length + 1, path.v_index[i])
-        if window[0] < 1:
-            raise AssertionError(
-                f"green window underflows the path start: {window} at (i={i}, k={k})"
-            )
-        return ColoredSubpath(
-            i=i, k=k, color=Color.GREEN,
-            edge_span=(path.v_index[i] + 1, path.v_index[k]),
-            green_m=m, green_w=w, window=window,
-        )
-    return ColoredSubpath(
-        i=i, k=k, color=Color.RED,
-        edge_span=(path.v_index[i], path.v_index[k]),
-    )
+    if (green := greens.get(t_star - i)) is None:
+        return ColoredSubpath(i=i, k=k, color=Color.RED, edge_span=(start, end))
+    m, w, length = green
+    window = (start - length + 1, start)
+    if window[0] < 1:
+        raise AssertionError(f"green window underflows the path start: {window} at (i={i}, k={k})")
+    return ColoredSubpath(i=i, k=k, color=Color.GREEN, edge_span=(start + 1, end),
+                          green_m=m, green_w=w, window=window)
 
 
 def classify(path: DyckPath, i: int, k: int) -> ColoredSubpath:
     """Classify the subpath determined by (v_i, v_k) as blue, green, or red.
 
     Blue: every slope v_i -> v_t for i < t <= k stays at or below the
-    diagonal.  Otherwise let t* be the first exceeding index; if t* - i
-    equals d(m) - w*d(m-1) for (unique) parameters 3 <= m <= n-2,
-    1 <= w <= r-2 the subpath is green with that parameter pair and a window
-    of d(m-1) - w*d(m-2) edges ending at v_i; otherwise it is red and extends
-    one edge backward.
+    diagonal.  Otherwise let t* be the first exceeding index; if t* - i is a
+    key of ``green_table(path)``, built once per call, the subpath is green
+    with that entry's (m, w) and a window of its edge count ending at v_i;
+    otherwise it is red and extends one edge backward.
     """
     if not 0 <= i < k <= path.height:
         raise ValueError(f"need 0 <= i < k <= {path.height}, got i={i}, k={k}")
-    return _classify_with_first(path, i, k, _first_exceeding(path, i, k))
+    return _classify_with_first(path, green_table(path), i, k, _first_exceeding(path, i, k))
 
 
 def first_exceeding_by_vertex(path: DyckPath) -> tuple[int | None, ...]:

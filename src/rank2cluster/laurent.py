@@ -41,6 +41,16 @@ Rows = dict[int, dict[int, int]]
 RENDER_FORMATS = ("plain", "latex", "json")
 
 
+def _is_int(value: object) -> bool:
+    """True for an int that is no bool, the one type of coefficients and exponents."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_exponents(e1: object, e2: object) -> None:
+    if not (_is_int(e1) and _is_int(e2)):
+        raise TypeError(f"exponents must be int, got ({type(e1).__name__}, {type(e2).__name__})")
+
+
 class LaurentPoly2:
     """Immutable two-variable Laurent polynomial with integer coefficients."""
 
@@ -50,13 +60,9 @@ class LaurentPoly2:
         canonical: dict[Exponents, int] = {}
         if terms:
             for (e1, e2), coeff in terms.items():
-                if not isinstance(coeff, int) or isinstance(coeff, bool):
+                if not _is_int(coeff):
                     raise TypeError(f"coefficient must be int, got {type(coeff).__name__}")
-                if (not (isinstance(e1, int) and isinstance(e2, int))
-                        or isinstance(e1, bool) or isinstance(e2, bool)):
-                    raise TypeError(
-                        f"exponents must be int, got ({type(e1).__name__}, {type(e2).__name__})"
-                    )
+                _check_exponents(e1, e2)
                 if coeff != 0:
                     canonical[(e1, e2)] = coeff
         self._terms = canonical
@@ -98,6 +104,7 @@ class LaurentPoly2:
         return dict(self._terms)
 
     def coefficient(self, e1: int, e2: int) -> int:
+        _check_exponents(e1, e2)
         return self._terms.get((e1, e2), 0)
 
     def is_zero(self) -> bool:
@@ -130,7 +137,7 @@ class LaurentPoly2:
         if isinstance(other, LaurentPoly2):
             return self._terms == other._terms
         # A bool is no coefficient (see ``__init__``), so it equals no polynomial.
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return self._terms == LaurentPoly2._coerce(other)._terms
         return NotImplemented
 
@@ -150,7 +157,7 @@ class LaurentPoly2:
         if isinstance(value, LaurentPoly2):
             return value
         # A bool is no coefficient (see ``__init__``), so it is no scalar either.
-        if isinstance(value, int) and not isinstance(value, bool):
+        if _is_int(value):
             return LaurentPoly2._canonical({(0, 0): value} if value else {})
         raise TypeError(f"cannot coerce {type(value).__name__} to LaurentPoly2")
 
@@ -183,7 +190,7 @@ class LaurentPoly2:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly2":
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
         if k == 0:
             return LaurentPoly2.one()
@@ -281,13 +288,15 @@ class LaurentPoly2:
     # -- evaluation and symmetry --------------------------------------------
 
     def eval_at(self, a1: int | Fraction, a2: int | Fraction) -> Fraction:
-        """Exact rational value at (a1, a2).
+        """Exact rational value at (a1, a2), each an int (no bool) or a ``Fraction``.
 
         Raises ``PoleError`` when a zero base would be raised to a negative
         exponent.
         """
-        a1 = Fraction(a1)
-        a2 = Fraction(a2)
+        if not all(_is_int(a) or isinstance(a, Fraction) for a in (a1, a2)):
+            raise TypeError("evaluation point must be int or Fraction, "
+                            f"got ({type(a1).__name__}, {type(a2).__name__})")
+        a1, a2 = Fraction(a1), Fraction(a2)
         total = Fraction(0)
         for (e1, e2), coeff in self._terms.items():
             if (a1 == 0 and e1 < 0) or (a2 == 0 and e2 < 0):

@@ -8,9 +8,9 @@ and the brute-force family stream applies the three family rules with its own
 edge and window masks instead of the aggregator's.  ``assert_no_late_greens``
 is a bug trap for the classifier that the package itself never calls, and
 ``green_matches`` searches every green parameter pair to pin the classifier's
-one-match lookup.  The
-``reference_*`` functions are plain Laurent arithmetic on (e1, e2) tuple keys,
-with no row form and no quotient box, to check the package's ring kernel.
+one table per path, ``dyck.green_table``.  The ``reference_*`` functions are
+plain Laurent arithmetic on (e1, e2) tuple keys, with no row form and no
+quotient box, to check the package's ring kernel.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def assert_no_late_greens(path: DyckPath) -> None:
 def green_matches(r: int, n: int) -> dict[int, list[tuple[int, int]]]:
     """Every (m, w) with 3 <= m <= n-2 and 1 <= w <= r-2, grouped by d(m) - w*d(m-1).
 
-    An exhaustive search over its own dimension sequence; the package stops
-    at the first level with a match.
+    An exhaustive search over its own dimension sequence that keeps every
+    match; the package's ``green_table`` keeps one entry per distance.
     """
     d = [0, 1]  # d[k - 1] is d(k)
     while len(d) < n - 2:

@@ -62,6 +62,13 @@ def test_expand_cap_breach_exits_2(capsys):
     assert "budget" in err
 
 
+def test_expand_refuses_r7_n6_at_the_default_budget(capsys):
+    # The README's (7,6): 109 454 730 steps, just above the default 10^8.
+    code, out, err = run(capsys, "expand", "--r", "7", "--n", "6")
+    assert (code, out) == (2, "")
+    assert err == "error: (r=7, n=6) needs 109454730 aggregation steps, above the budget 100000000\n"
+
+
 def test_expand_both_engines_agree_at_height_35(capsys):
     # (6,6) has height 35; it needs 27 232 200 aggregation steps, inside the default budget.
     code, out, _ = run(capsys, "expand", "--r", "6", "--n", "6", "--engine", "both")

@@ -1,8 +1,9 @@
 import pytest
 
 from rank2cluster import combinat
+from rank2cluster.caps import DEFAULT_CONFIG_BUDGET
 from rank2cluster.combinat import build_pool, generating_poly
-from rank2cluster.dyck import build_path
+from rank2cluster.dyck import build_path, classify, dim_sequence
 from rank2cluster.errors import ConfigBudgetError
 from rank2cluster.laurent import LaurentPoly2
 
@@ -32,10 +33,10 @@ def test_pool_sizes():
         assert path.n_edges == singles
 
 
-def test_pool_matches_pairwise_classification():
-    path = build_path(3, 6)
-    from rank2cluster.dyck import classify
-
+@pytest.mark.parametrize("cell", [(2, 8), (3, 6), (3, 7), (4, 6), (5, 6), (6, 5)],
+                         ids=lambda cell: "r{}_n{}".format(*cell))
+def test_pool_matches_pairwise_classification(cell):
+    path = build_path(*cell)
     pool = build_pool(path)
     by_pair = {(c.i, c.k): c for c in pool.colored}
     for i in range(path.height):
@@ -187,6 +188,17 @@ def test_scan_steps_track_the_row_additions(cell, monkeypatch):
     # Each added row is a packed int of n_edges + 1 slots.
     work = sum(added) * (path.n_edges + 1)
     assert work <= combinat.scan_steps(path.r, path.n, path.dims) <= 8 * work
+
+
+@pytest.mark.parametrize(("cell", "steps"), [
+    ((3, 7), 1_300_992), ((3, 8), 48_752_480), ((4, 7), 86_650_830),
+    ((2, 117), 98_182_400), ((2, 118), 101_545_704), ((7, 6), 109_454_730),
+])
+def test_scan_steps_match_the_readme_budget_numbers(cell, steps):
+    r, n = cell
+    assert combinat.scan_steps(r, n, dim_sequence(r, n - 1)) == steps
+    # The README's admission split at the default budget: (2,118) and (7,6) are refused.
+    assert (steps <= DEFAULT_CONFIG_BUDGET) == (cell not in {(2, 118), (7, 6)})
 
 
 def test_family_json_lines_schema():

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from rank2cluster import combinat
 from rank2cluster.dyck import (
     Color,
-    _green_params,
     build_path,
     classify,
     dim_sequence,
+    green_table,
     slope_exceeds,
 )
 from rank2cluster.errors import ExponentOverflowError
@@ -206,21 +207,40 @@ def test_no_late_greens(cell):
     assert_no_late_greens(build_path(*cell))
 
 
-def test_green_params_is_the_one_exhaustive_match():
-    # r = 3..30, every n >= 5 with d(n-2) <= 2000, every distance 1..d(n-2).
-    cells = 0
+def _green_cells():
+    # r = 3..30, every n >= 5 with d(n-2) <= 2000.
     for r in range(3, 31):
         n = 5
         while dim_sequence(r, n - 2).value(n - 2) <= 2000:
-            path = build_path(r, n)
-            matches = green_matches(r, n)
-            assert all(len(pairs) == 1 for pairs in matches.values()), (r, n)
-            for distance in range(1, path.height + 1):
-                expected = matches[distance][0] if distance in matches else None
-                assert _green_params(path, distance) == expected, (r, n, distance)
-            cells += 1
+            yield r, n
             n += 1
+
+
+def test_green_table_is_the_one_exhaustive_match():
+    cells = 0
+    for r, n in _green_cells():
+        d = [0, 1]  # d[k - 1] is d(k)
+        while len(d) < n - 2:
+            d.append(r * d[-1] - d[-2])
+        table = green_table(build_path(r, n))
+        matches = green_matches(r, n)
+        assert all(len(pairs) == 1 for pairs in matches.values()), (r, n)
+        assert {distance: pairs[0] for distance, pairs in matches.items()} == {
+            distance: (m, w) for distance, (m, w, _) in table.items()
+        }, (r, n)
+        for m, w, length in table.values():
+            assert length == d[m - 2] - w * d[m - 3], (r, n, m, w)
+        cells += 1
     assert cells == 74
+
+
+def test_longest_window_is_the_green_tables_longest():
+    # The 74 green cells, r = 2 (no greens) and n <= 4 (no level m to match).
+    cells = [*_green_cells(), *((2, n) for n in range(3, 40)), (3, 3), (3, 4), (7, 4)]
+    for r, n in cells:
+        path = build_path(r, n)
+        longest = max((length for _, _, length in green_table(path).values()), default=1)
+        assert combinat._longest_window(r, n, path.dims) == longest, (r, n)
 
 
 def test_path_json_schema():

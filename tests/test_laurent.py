@@ -247,6 +247,21 @@ def test_constructor_rejects_non_int_exponents(slot, exponent):
         LaurentPoly2({tuple(exps): 1})
 
 
+@pytest.mark.parametrize("exponents", [(True, False), (1.0, 0), (0, "1"), (None, 0)])
+def test_coefficient_rejects_non_int_exponents(exponents):
+    # Reading True or 1.0 as 1 would report x1's coefficient for a key no term has.
+    with pytest.raises(TypeError, match=r"^exponents must be int, got \("):
+        X1.coefficient(*exponents)
+    assert X1.coefficient(1, 0) == 1 and X1.coefficient(0, 1) == 0
+
+
+@pytest.mark.parametrize("point", [(True, 2), (2, False), (1.5, 2), ("3", 2), (2, None)])
+def test_eval_at_rejects_points_that_are_no_int_or_fraction(point):
+    with pytest.raises(TypeError, match="evaluation point must be int or Fraction"):
+        X1.eval_at(*point)
+    assert X1.eval_at(Fraction(3, 2), 2) == Fraction(3, 2)
+
+
 def test_poly_sum_cancels_to_zero():
     parts = [X1, -X2, 3 * ONE, X2, -X1, LaurentPoly2({(0, 0): -3})]
     total = sum(parts, ZERO)
