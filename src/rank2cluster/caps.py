@@ -1,11 +1,11 @@
 """Resource caps with safe defaults.
 
-Heavy operations take these as keyword arguments and check them from
+Heavy operations take the first two as keyword arguments and check them from
 d(1)..d(n) before any work starts; the CLI exposes them as flags.  They bound
 the formula engine's scan and every exponent; the r = 1 oracle walk needs no
-cap, as its period bounds it to five steps.  Not bounded: the oracle's cost
-at r >= 2, and the character grid of ``path --ascii``, which ``max_exponent``
-limits only through d(n-1).
+cap, as its period bounds it to five steps.  The character grid of ``path
+--ascii`` has a fixed cap, checked from the path's box before the grid is
+built.  Not bounded: the oracle's cost at r >= 2.
 """
 
 # Largest exponent magnitude allowed: x_n is refused when d(n) exceeds it.
@@ -14,3 +14,8 @@ DEFAULT_MAX_EXPONENT = 10**6
 # Largest number of steps the aggregator's edge scan may take, counted from
 # d(1)..d(n-1) before the path is built.
 DEFAULT_CONFIG_BUDGET = 10**8
+
+# Largest (2*width+1) * (2*height+1) character grid ``render.ascii_path``
+# builds.  (3,12) needs 43 228 347 cells (about 7 s and 440 MB on a 2-core
+# Linux host, Python 3.11); (4,10) needs 92 626 461 and is refused.
+MAX_ASCII_CELLS = 5 * 10**7

@@ -13,8 +13,9 @@ never a stack trace.  Every subcommand but ``path`` (whose box needs only
 d(n-1)) refuses a cell whose d(n) exceeds ``--max-exponent``.
 ``--config-budget`` caps the formula engine's edge scan; it comes from the
 flag, else the default, and ``main`` checks both caps once.  At r = 1 the
-oracle walks at most five steps.  ``verify`` prints a note to stderr when its
-sweep has no cell.
+oracle walks at most five steps.  ``path --ascii`` refuses a character grid
+over ``caps.MAX_ASCII_CELLS`` with exit 2.  ``verify`` prints a note to
+stderr when its sweep has no cell.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 from . import cluster, render
 from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
 from .dyck import build_path, classify
-from .errors import ConfigBudgetError, ExponentOverflowError
+from .errors import ConfigBudgetError, ExponentOverflowError, GridSizeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,7 +206,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config_budget < 1:
             raise ValueError("--config-budget must be positive")
         return _HANDLERS[args.command](args)
-    except (ConfigBudgetError, ExponentOverflowError) as exc:
+    except (ConfigBudgetError, ExponentOverflowError, GridSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:

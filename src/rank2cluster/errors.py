@@ -28,3 +28,7 @@ class ExponentOverflowError(Rank2ClusterError):
 
 class ConfigBudgetError(Rank2ClusterError):
     """The aggregation step count exceeds the budget."""
+
+
+class GridSizeError(Rank2ClusterError):
+    """An ASCII path picture would exceed the character-grid cap."""

@@ -13,22 +13,31 @@ are safe to share across threads.
 
 The ring kernel the recursion oracle runs on (``*``, ``**`` and
 ``div_exact``) works on rows, ``{e1: {e2: coeff}}`` with int keys, and
-converts to and from the canonical map once per call.  One row-product
-routine, ``_add_product``, serves ``*``, ``**`` (a square takes each pair of
-distinct rows once) and the row subtraction of ``div_exact``, which walks the
-quotient lowest first, rows of e1 ascending and e2 ascending inside a row, so
-every subtraction lands later in the walk and each remainder row is walked
-once.  The quotient's exponents must lie in the box min(dividend) -
-min(divisor) .. max(dividend) - max(divisor); that box bounds the walk, so a
-non-exact division raises ``NonExactDivisionError`` and never loops.  Maps the
-package built canonical itself skip ``__init__``'s checks through the one
-trusted constructor, ``LaurentPoly2._canonical``.
+converts to and from the canonical map once per call.  Rows multiply by
+Kronecker substitution on the exponent lattice: the e2 keys of each operand
+lie on lo + g*Z, g the gcd of their differences (r for every x_m of the
+recursion), so a row packs into one int with slot i holding the coefficient
+of lo + g*i, and a row times a row is one big-int multiply.  A slot holds the
+largest sum it can receive: the bits of the largest factors, plus the bits of
+the number of products summed, plus a sign bit, rounded up to bytes.  Slots
+decode as signed values plus the borrow the slots below leave.  A packed row
+has a slot for every lattice point between its lowest and highest key.
+
+``_add_product`` is the product of ``*`` and ``**``.  ``div_exact`` walks the
+quotient lowest first, so each finished quotient row times the divisor's
+other rows lands in later rows; it owes them as packed sums, decoded when the
+walk reaches them.  The quotient's exponents must lie in the box
+min(dividend) - min(divisor) .. max(dividend) - max(divisor); that box bounds
+the walk, so a non-exact division raises ``NonExactDivisionError`` and never
+loops.  Maps the package built canonical itself skip ``__init__``'s checks
+through the one trusted constructor, ``LaurentPoly2._canonical``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 
 from .errors import NonExactDivisionError, PoleError
@@ -216,12 +225,12 @@ class LaurentPoly2:
         ascending and e2 ascending inside a row, by dividing the remainder's
         next term by the divisor's lowest term in that order.  Each remainder
         row is walked once, from a heap of its keys that also takes the keys
-        the divisor's lowest row adds; the finished quotient row times the
-        divisor's other rows is then subtracted from later rows by
-        ``_add_product``, the routine of ``*`` and ``**``.  A remainder term
-        outside the box, a coefficient not divisible over Z, or a nonzero
-        remainder in the rows above the box raises ``NonExactDivisionError``.
-        The box bounds the walk, so every call ends.
+        the divisor's lowest row adds.  The finished quotient row times the
+        divisor's other rows is owed, packed, to the later rows, and decoded
+        into each when the walk reaches it.  A remainder term outside the box,
+        a coefficient not divisible over Z, or a nonzero remainder in the rows
+        above the box raises ``NonExactDivisionError``.  The box bounds the
+        walk, so every call ends.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -235,27 +244,36 @@ class LaurentPoly2:
 
         rem = _to_rows(self._terms)
         den = _to_rows(divisor._terms)
+        g = _stride(rem, den)
+        # Every product lands at a key >= base, slot 0 of each accumulator.
+        base = min(map(min, rem.values()))
         lo1 = min(den)
         lo2 = min(map(min, den.values()))
         first1 = min(rem) - lo1
         last1 = max(rem) - max(den)
-        first2 = min(map(min, rem.values())) - lo2
+        first2 = base - lo2
         last2 = max(map(max, rem.values())) - max(map(max, den.values()))
         if first1 > last1 or first2 > last2:
             raise NonExactDivisionError("divisor spans more exponents than the dividend")
+        # A slot sums at most len(divisor) products, plus a sign bit.
+        den_bits = _coeff_bits(den) + len(divisor).bit_length() + 1
 
         # The lowest divisor row's other terms as offsets from its lowest term
-        # (lo1, lead2), and the divisor's other rows; all negated.
+        # (lo1, lead2), negated, and the divisor's other rows packed per slot size.
         lead_row = den.pop(lo1)
         lead2 = min(lead_row)
         lead_coeff = lead_row.pop(lead2)
         same_row = [(d2 - lead2, -dc) for d2, dc in lead_row.items()]
-        rest = {d1: {d2: -dc for d2, dc in row.items()} for d1, row in den.items()}
+        packed_den: dict[int, list[tuple[int, int, int]]] = {}
         low_key, high_key = first2 + lead2, last2 + lead2
 
+        # Remainder row -> {slot size: packed sum of the products it still owes}.
+        pending: dict[int, dict[int, int]] = {}
         quotient: Rows = {}
         for e1 in range(first1 + lo1, last1 + lo1 + 1):
-            row = rem.pop(e1, None)
+            row = rem.pop(e1, {})
+            for size, value in pending.pop(e1, {}).items():
+                _add_unpacked(row, value, size, base, g)
             if not row:
                 continue
             qrow = quotient[e1 - lo1] = {}
@@ -280,7 +298,20 @@ class LaurentPoly2:
                         heappush(heap, k)
                     else:
                         row[k] = old + coeff * neg
-            _add_product(rem, {e1 - lo1: qrow}, rest)
+            if not (qrow and den):
+                continue
+            # Quotient bits round up to 64, so that rows share accumulators.
+            q_bits = -(-max(map(abs, qrow.values())).bit_length() // 64) * 64
+            size = -(-(q_bits + den_bits) // 8)
+            if size not in packed_den:
+                packed_den[size] = [(d1, *_pack(drow, g, size)) for d1, drow in den.items()]
+            qlo, qv = _pack(qrow, g, size)
+            for d1, dlo, dv in packed_den[size]:
+                owed = pending.setdefault(e1 - lo1 + d1, {})
+                owed[size] = owed.get(size, 0) - (qv * dv << (qlo + dlo - base) // g * 8 * size)
+        for e1, owed in pending.items():
+            for size, value in owed.items():
+                _add_unpacked(rem.setdefault(e1, {}), value, size, base, g)
         if any(any(row.values()) for row in rem.values()):
             raise NonExactDivisionError("nonzero remainder above the quotient box")
         return _from_rows(quotient)
@@ -382,28 +413,84 @@ def _from_rows(rows: Rows) -> LaurentPoly2:
     })
 
 
+def _stride(*operands: Rows) -> int:
+    """gcd of the e2 differences inside each operand: rows pack on lo + g*Z."""
+    g = 0
+    for rows in operands:
+        lo = min(map(min, rows.values()))
+        g = gcd(g, *(e2 - lo for row in rows.values() for e2 in row))
+    return g or 1
+
+
+def _coeff_bits(rows: Rows) -> int:
+    return max(max(map(abs, row.values())) for row in rows.values()).bit_length()
+
+
+def _pack(row: dict[int, int], g: int, size: int) -> tuple[int, int]:
+    """(lowest key, packed row): slot i holds the coefficient of lo + g*i in ``size`` bytes."""
+    lo = min(row)
+    span = ((max(row) - lo) // g + 1) * size
+    pos, neg = bytearray(span), None
+    for e2, coeff in row.items():
+        at = (e2 - lo) // g * size
+        if coeff > 0:
+            pos[at:at + size] = coeff.to_bytes(size, "little")
+        elif coeff:
+            neg = neg or bytearray(span)
+            neg[at:at + size] = (-coeff).to_bytes(size, "little")
+    value = int.from_bytes(pos, "little")
+    return lo, value - int.from_bytes(neg, "little") if neg else value
+
+
+def _add_unpacked(row: dict[int, int], value: int, size: int, base: int, g: int) -> None:
+    """Add the signed slots of a packed int into ``row``; slot i is key base + g*i.
+
+    A slot reads as a signed ``size``-byte value plus the borrow that the
+    slots below leave when their sum is negative.
+    """
+    end = (value.bit_length() // (8 * size) + 1) * size
+    data = value.to_bytes(end, "little", signed=True)
+    borrow = 0
+    key = base
+    get = row.get
+    for coeff in [int.from_bytes(data[at:at + size], "little", signed=True)
+                  for at in range(0, end, size)]:
+        coeff += borrow
+        if coeff:
+            borrow = coeff < 0
+            row[key] = get(key, 0) + coeff
+        key += g
+
+
 def _add_product(out: Rows, a: Rows, b: Rows) -> Rows:
     """Add the product of two row maps into ``out`` and return it.
 
-    Rows may keep zero coefficients.  A square (``a is b``) takes each pair of
-    distinct rows once, with doubled coefficients, for about half the work of
-    a general product.
+    A slot has bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 1 bits,
+    rounded up to bytes: an output coefficient sums at most one product per
+    term of the smaller operand, and the last bit is the sign.  Row products
+    are summed packed, one int per output row, and decoded once.  A square
+    (``a is b``) takes each pair of distinct rows once, doubled.  No row is
+    empty.
     """
+    if not a or not b:
+        return out
     square = a is b
-    b_rows = [(b1, list(row.items())) for b1, row in b.items()]
-    for a1, a_row in a.items():
-        a_items = list(a_row.items())
-        doubled = [(e2, 2 * ca) for e2, ca in a_items] if square else a_items
-        for b1, b_items in b_rows:
-            if square and b1 < a1:
-                continue  # taken, doubled, as the pair (b1, a1)
-            items = a_items if b1 == a1 else doubled
-            row = out.get(a1 + b1)
-            if row is None:
-                row = out[a1 + b1] = {}
-            get = row.get
-            for e2, ca in items:
-                for f2, cb in b_items:
-                    k = e2 + f2
-                    row[k] = get(k, 0) + ca * cb
+    g = _stride(a) if square else _stride(a, b)
+    width = (_coeff_bits(a) + _coeff_bits(b) + 1
+             + min(sum(map(len, a.values())), sum(map(len, b.values()))).bit_length())
+    size = -(-width // 8)
+    packed_a = [(a1, *_pack(row, g, size)) for a1, row in a.items()]
+    packed_b = packed_a if square else [(b1, *_pack(row, g, size)) for b1, row in b.items()]
+    lo_a = min(lo for _, lo, _ in packed_a)
+    lo_b = min(lo for _, lo, _ in packed_b)
+    acc: dict[int, int] = {}
+    for i, (a1, la, va) in enumerate(packed_a):
+        for b1, lb, vb in packed_b[i:] if square else packed_b:
+            at = (la - lo_a + lb - lo_b) // g * 8 * size
+            if square and b1 != a1:
+                at += 1
+            acc[a1 + b1] = acc.get(a1 + b1, 0) + (va * vb << at)
+    for e1, value in acc.items():
+        if value:
+            _add_unpacked(out.setdefault(e1, {}), value, size, lo_a + lo_b, g)
     return out

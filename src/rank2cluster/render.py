@@ -8,7 +8,9 @@ of preceding edges).
 
 from __future__ import annotations
 
+from .caps import MAX_ASCII_CELLS
 from .dyck import Color, ColoredSubpath, DyckPath
+from .errors import GridSizeError
 
 _SVG_UNIT = 40
 _SVG_PAD = 24
@@ -38,9 +40,14 @@ def ascii_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
 
     Legend: 'o' distinguished vertices, '+' other lattice points, '-'/'|'
     path edges, '='/'!' overlay span edges, '~'/':' green window edges,
-    '.' cells the diagonal passes through.
+    '.' cells the diagonal passes through.  Raises ``GridSizeError``, before
+    the grid is built, when it would exceed ``caps.MAX_ASCII_CELLS``.
     """
     width, height = path.width, path.height
+    cells = (2 * width + 1) * (2 * height + 1)
+    if cells > MAX_ASCII_CELLS:
+        raise GridSizeError(f"the ASCII picture needs {cells} grid cells, over the cap of "
+                            f"{MAX_ASCII_CELLS}; use --svg or --tikz")
     rows = [[" "] * (2 * width + 1) for _ in range(2 * height + 1)]
 
     def put_point(x: int, y: int, ch: str) -> None:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank2cluster import cli
+from rank2cluster.caps import MAX_ASCII_CELLS
+from rank2cluster.dyck import build_path
 from rank2cluster.laurent import LaurentPoly2
 
 from oracles import X5_R3_TERMS
@@ -269,6 +271,33 @@ def test_path_svg_and_tikz(capsys):
     assert code == 0
     assert out.startswith("% r=3 n=5")
     assert "\\begin{tikzpicture}" in out
+
+
+def test_path_ascii_grid_cap_is_inclusive(capsys, monkeypatch):
+    # (3,5) draws a 5 x 3 box as an 11 x 7 character grid: 77 cells.
+    monkeypatch.setattr(cli.render, "MAX_ASCII_CELLS", 77)
+    code, out, _ = run(capsys, "path", "--r", "3", "--n", "5", "--ascii")
+    assert code == 0 and "word=EENEENEN" in out
+    monkeypatch.setattr(cli.render, "MAX_ASCII_CELLS", 76)
+    code, out, err = run(capsys, "path", "--r", "3", "--n", "5", "--ascii")
+    assert (code, out) == (2, "")
+    assert err == ("error: the ASCII picture needs 77 grid cells, over the cap of 76; "
+                   "use --svg or --tikz\n")
+    code, out, _ = run(capsys, "path", "--r", "3", "--n", "5", "--svg")
+    assert code == 0 and out.startswith("<svg ")
+
+
+@pytest.mark.parametrize("r, n, cells, refused", [(3, 12, 43_228_347, False),
+                                                   (4, 10, 92_626_461, True)])
+def test_path_ascii_cap_admits_3_12_and_refuses_4_10(capsys, r, n, cells, refused):
+    path = build_path(r, n)
+    assert (2 * path.width + 1) * (2 * path.height + 1) == cells
+    assert (cells > MAX_ASCII_CELLS) == refused
+    if refused:
+        code, out, err = run(capsys, "path", "--r", str(r), "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the ASCII picture needs {cells} grid cells")
+        assert len(err.splitlines()) == 1
 
 
 def test_path_json_schema(capsys):

@@ -166,10 +166,12 @@ def test_generating_poly_budget():
         generating_poly(build_path(3, 6), config_budget=100)  # needs 44 550 steps
 
 
-@pytest.mark.parametrize("cell", [(5, 6), (6, 6), (3, 8)])
+@pytest.mark.parametrize("cell", [(5, 6), (6, 6), (3, 8), (2, 30), (20, 5), (4, 7)])
 def test_generating_poly_matches_oracle_on_tall_cells(cell):
-    # Heights 24, 35 and 55: far too many families to enumerate, and 2^24,
-    # 2^35 and 2^55 sets of compatible colored elements.
+    # Heights 20 to 56: far too many families to enumerate, and up to 2^56
+    # sets of compatible colored elements.  (3,8), (2,30) and (20,5) are the
+    # upward cells of the oracle-deep benchmark; (4,7) needs 86 650 830 of
+    # the default 10^8 aggregation steps.
     assert generating_poly(build_path(*cell)) == f_polynomial_from_oracle(*cell)
 
 

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rank2cluster.errors import NonExactDivisionError, PoleError
 from rank2cluster.laurent import LaurentPoly2
@@ -34,6 +34,39 @@ wide_polys = st.one_of(
     st.just(ZERO),
 )
 nonzero_wide_polys = wide_polys.filter(bool)
+
+
+@st.composite
+def _lattice_polys(draw):
+    """Exponents e2 = s*i + c on one lattice per operand, s in 1..5, so two
+    operands may sit on different lattices; coefficients +-(2^k +- 1) up to
+    k = 300 fill a packed slot to its top bits.  Half the draws give each row
+    one term."""
+    stride, coset = draw(st.integers(1, 5)), draw(st.integers(-5, 5))
+    e1 = st.integers(-3, 3)
+    e2 = st.integers(0, 8).map(lambda i: stride * i + coset)
+    coeff = st.builds(lambda k, off, sign: sign * (2**k + off), st.integers(1, 300),
+                      st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        rows = draw(st.dictionaries(e1, st.tuples(e2, coeff), max_size=7))
+        return LaurentPoly2({(a1, a2): c for a1, (a2, c) in rows.items()})
+    return LaurentPoly2(draw(st.dictionaries(st.tuples(e1, e2), coeff, max_size=20)))
+
+
+# The kernel's reference tests draw from both strategies and the zero polynomial.
+kernel_polys = st.one_of(wide_polys, _lattice_polys(), st.just(ZERO))
+nonzero_kernel_polys = kernel_polys.filter(bool)
+
+
+def _full_slots(k, n, sign):
+    """c * sum_{i<n} (sign*x2)^i with c = 2^k - 1.
+
+    Its square's middle coefficient, sign^(n-1) * n * c^2, needs every bit of
+    the slot width bound 2*bits(c) + bits(n) + 1 when n is 2^b - 1 or 2^b - 2.
+    In the examples below the bound is 1 more than a multiple of 8, so one bit
+    less would also lose a byte of the slot.
+    """
+    return LaurentPoly2({(0, i): sign**i * (2**k - 1) for i in range(n)})
 
 
 # A division that never ends would otherwise hang the suite.
@@ -311,26 +344,35 @@ def test_div_exact_inverts_mul(p, q):
 
 
 @settings(deadline=None)
-@given(wide_polys, wide_polys)
+@given(kernel_polys, kernel_polys)
 def test_mul_matches_reference(p, q):
     assert p * q == reference_mul(p, q)
 
 
 @settings(deadline=None)
-@given(wide_polys, st.integers(min_value=0, max_value=5))
+@given(kernel_polys, st.integers(min_value=0, max_value=5))
+@example(_full_slots(7, 3, 1), 2)
+@example(_full_slots(8, 255, -1), 2)
+@example(_full_slots(8, 254, -1), 2)
+@example(_full_slots(300, 255, 1), 2)
 def test_pow_matches_reference(p, k):
     assert p**k == reference_pow(p, k)
 
 
 @settings(deadline=None)
-@given(wide_polys, nonzero_wide_polys)
+@given(kernel_polys, nonzero_kernel_polys)
+# Remainder row 1 owes 254 products of a 64-bit quotient coefficient and an
+# 8-bit divisor coefficient per slot: every bit of the width bound
+# 64 + 8 + bits(255 divisor terms) + 1.
+@example(_full_slots(64, 254, 1), 1 + X1 * _full_slots(8, 254, 1))
+@example(_full_slots(64, 254, -1), 1 + X1 * _full_slots(8, 254, -1))
 def test_div_exact_matches_reference(p, q):
     product = p * q
     assert product.div_exact(q) == reference_div_exact(product, q) == p
 
 
 @settings(deadline=None)
-@given(wide_polys, nonzero_wide_polys)
+@given(kernel_polys, nonzero_kernel_polys)
 def test_div_exact_returns_the_quotient_or_raises(p, q):
     try:
         quotient = p.div_exact(q)
