@@ -18,11 +18,19 @@ without materializing the families.  Every rule is local along the path:
 elements are intervals of edges, a chain can only join a colored element
 ending at edge p to a blue or green one starting at edge p+1, and a green
 element's window ends right before it.  So one left-to-right scan over the
-edges carries all families at once, remembering only how far back the last
-covered edge lies and whether a colored element ends at the current edge.
-Its cost is polynomial in the path size, and ``check_budget`` refuses a
-cell whose ``scan_steps`` exceed ``config_budget`` before its path is built.
-The family count is exponential in the edge count (every subset of single
+edges carries all families at once in two sums: ``top``, the families in
+which no colored element ends at the current edge, and ``marker``, those in
+which one does.  The elements from a vertex v_i are blue up to the first
+vertex whose slope from v_i exceeds the diagonal and all of one color from
+there on, so each v_i hands the scan at most two sources, and one running
+sum, which takes a source when it comes into reach and drops a blue one
+when it stops, gives ``marker`` at every vertex.  A green source is ``top``
+minus the families whose covered edges all lie before its window, a
+snapshot kept from the edge before the window until its last reader.  The
+scan makes two row merges per edge and at most six per vertex, a cost
+polynomial in the path size; ``check_budget`` refuses a cell whose
+``scan_steps`` exceed ``config_budget`` before its path is built.  The
+family count is exponential in the edge count (every subset of single
 edges is a family), so the aggregated route is the only scalable one.  The
 brute-force family stream that checks it lives with the test oracles in
 ``tests/oracles.py``.
@@ -30,6 +38,7 @@ brute-force family stream that checks it lives with the test oracles in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CONFIG_BUDGET
@@ -55,28 +64,17 @@ def build_pool(path: DyckPath) -> PiecePool:
     ))
 
 
-def _longest_window(r: int, n: int, dims: DimSequence) -> int:
-    """The longest window g of ``green_table``, or 1 without greens, before any path exists.
-
-    A window has d(m-1) - w*d(m-2) edges with 3 <= m <= n-2 and w >= 1, so
-    m = n-2, w = 1 is the largest: d(k) - d(k-1) never decreases when r >= 2.
-    There are no greens when r = 2 or n <= 4.
-    """
-    if r < 3 or n < 5:
-        return 1
-    return dims.value(n - 3) - dims.value(n - 4)
-
-
 def scan_steps(r: int, n: int, dims: DimSequence) -> int:
     """Steps of the edge scan for (r, n), from d(1)..d(n-1) alone.
 
-    Each of the E = d(n-1) edges merges 2g+5 rows (g the longest green window)
-    and each of the h(h+1)/2 colored elements one more (h = d(n-2)); a merge
-    adds at most h+1 weights of E+1 slots each.
+    Each of the E = d(n-1) edges merges 2 rows and each of the h = d(n-2)
+    vertices v_i, i < h, at most 6: a source joins ``running`` and a blue
+    one is owed to ``leaving``, a green source is one difference, and v_i
+    itself takes what leaves and joins there.  A merge adds at most h+1
+    weights of E+1 slots.
     """
     n_edges, height = dims.value(n - 1), dims.value(n - 2)
-    merges = (2 * _longest_window(r, n, dims) + 5) * n_edges + height * (height + 1) // 2
-    return merges * (height + 1) * (n_edges + 1)
+    return (2 * n_edges + 6 * height) * (height + 1) * (n_edges + 1)
 
 
 def check_budget(r: int, n: int, dims: DimSequence, config_budget: int) -> None:
@@ -96,62 +94,122 @@ def _accumulate(
     return dest
 
 
+def _difference(
+    minuend: dict[int, int], subtrahend: dict[int, int], shift: int = 0
+) -> dict[int, int]:
+    """``minuend`` minus ``subtrahend`` shifted ``shift`` bits, row by row, dropping zero rows.
+
+    The subtrahend counts some of the minuend's families, so no slot goes
+    below zero and the packed ints subtract slot by slot.
+    """
+    return {w: rest for w, packed in minuend.items()
+            if (rest := packed - (subtrahend.get(w, 0) << shift))}
+
+
+def _turns(path: DyckPath) -> dict[int, ColoredSubpath]:
+    """The element (i, t) for each v_i with a first exceeding vertex v_t: where blue stops."""
+    greens = green_table(path)
+    return {i: _classify_with_first(path, greens, i, t, t)
+            for i, t in enumerate(first_exceeding_by_vertex(path)) if t is not None}
+
+
+def _scan(
+    path: DyckPath, turns: dict[int, ColoredSubpath], width: int, step: int
+) -> dict[int, int]:
+    """Rows of the families of ``path``: y2^(weight1 * step) -> their polynomial in y1 at 2**width.
+
+    A row packs the coefficient of y1^e at bit e*width, so adding and
+    shifting rows adds and multiplies polynomials.  Here y1 marks a free
+    edge: an element adds no power of y1, and edge p+1, free or a single
+    edge, turns ``every = top + marker`` into ``top = (1 + y1)*every``.
+
+    ``turns[i]`` is the element (i, t) for the first vertex v_t whose slope
+    from v_i exceeds the diagonal: (i, k) is blue for k < t and has the
+    color and window of ``turns[i]`` from t on.  The families that reach v_k
+    through an element (i, k) are y2^k times ``running``, a sum over the
+    v_i in reach of y2^(-i) times a source: ``top`` at v_i for a blue
+    element (no chain), ``every`` one edge before v_i for a red one, and
+    for a green one with an L-edge window ``top`` minus y1^L times
+    ``every`` from L edges back (the families whose covered edges all lie
+    before the window, padded with L free edges).  A source waits in
+    ``joining`` for v_{i+1} (blue) or v_t, and a blue one in ``leaving`` for
+    v_t.  ``every`` is kept only at the edges before a green window, until
+    its last reader.
+    """
+    height, v_index = path.height, path.v_index
+    vertex_at = {e: j for j, e in enumerate(v_index)}
+    readers = Counter(v_index[i] - len(c.window_edges()) for i, c in turns.items()
+                      if c.color is Color.GREEN)
+
+    top: dict[int, int] = {0: 1}
+    marker: dict[int, int] = {}
+    snapshots: dict[int, dict[int, int]] = {}
+    running: dict[int, int] = {}
+    joining: dict[int, dict[int, int]] = {}
+    leaving: dict[int, dict[int, int]] = {}
+    for p in range(path.n_edges):
+        every = _accumulate(dict(top), marker)
+        if p in readers:
+            snapshots[p] = every
+        if (i := vertex_at.get(p)) is not None:
+            turn = turns.get(i)
+            t = height + 1 if turn is None else turn.k
+            if i + 1 < t:
+                _accumulate(joining.setdefault(i + 1, {}), top, -i * step)
+                if turn is not None:
+                    _accumulate(leaving.setdefault(t, {}), top, -i * step)
+            if turn is not None and turn.color is Color.GREEN:
+                window = len(turn.window_edges())
+                lag = p - window
+                supported = _difference(top, snapshots[lag], window * width)
+                readers[lag] -= 1
+                if not readers[lag]:
+                    del snapshots[lag]
+                _accumulate(joining.setdefault(t, {}), supported, -i * step)
+        k = vertex_at.get(p + 1)
+        if (turn := turns.get(k)) is not None and turn.color is Color.RED:
+            _accumulate(joining.setdefault(turn.k, {}), every, -k * step)
+        top = _accumulate(dict(every), every, shift=width)
+        marker = {}
+        if k is not None:
+            if k in leaving:
+                running = _difference(running, leaving.pop(k))
+            _accumulate(running, joining.pop(k, {}))
+            marker = {w + k * step: packed for w, packed in running.items()}
+    return _accumulate(top, marker)
+
+
 def generating_poly(path: DyckPath, config_budget: int = DEFAULT_CONFIG_BUDGET) -> LaurentPoly2:
     """Exact generating polynomial sum(y1^weight2 * y2^weight1) over families.
 
-    Scans the edges left to right, over the partial families of edges 1..p.
-    Those in which a colored element ends at edge p sit in ``marker``; the
-    others sit in ``near[L]`` when their last covered edge lies fewer than L
-    edges back, for 1 <= L <= g and the longest green window g, and all of
-    them in ``near[g+1]``.  Edge p+1 is then left free, taken as a single
-    edge, or is the first edge of a colored element that carries its family
-    to ``marker`` at the element's last edge.  A red element may follow any
-    family, a blue one only those in ``near[g+1]`` (rule 2), and a green one
-    with an L-edge window only those in ``near[L]`` (rules 2 and 3).
+    Runs ``_scan`` twice on the same turns.  The first pass, at width 0 and
+    step 0, evaluates at y1 = y2 = 1: one int row, the family count F.  The
+    second keeps a row per weight1 and gives each power of y1 a slot of
+    bits(F) bits, rounded up to whole bytes for decoding.
 
-    A row maps weight1 to an int that packs the coefficients of y1^0, y1^1,
-    ... in fixed-width slots, so the scan only adds and shifts.  Its
-    ``scan_steps`` are checked against ``config_budget`` before the pool is
-    built; a larger count raises ``ConfigBudgetError``.
+    No slot carries into the next.  Every slot the scan makes, in ``top``,
+    ``every``, ``marker``, ``running``, ``joining``, ``leaving``, a snapshot
+    or a green source, counts distinct partial families on edges 1..p with
+    fixed statistics: a difference is taken before anything is added to it,
+    and ``running`` drops what leaves it at a vertex before it takes what
+    joins there.  Padding a partial family with the free edges p+1..E gives
+    a family of the whole path, with statistics shifted by a fixed amount,
+    and distinct partial families give distinct families.  So no slot
+    exceeds F < 2**bits(F).  The argument uses only the scan, not the
+    paper's theorem on x_n.
+
+    Its ``scan_steps`` are checked against ``config_budget`` before the path
+    is classified; a larger count raises ``ConfigBudgetError``.
     """
     check_budget(path.r, path.n, path.dims, config_budget)
+    turns = _turns(path)
+    size = -(-_scan(path, turns, 0, 0)[0].bit_length() // 8)  # bytes per slot
+
     n_edges = path.n_edges
-    top = _longest_window(path.r, path.n, path.dims) + 1
-    starting: dict[int, list[ColoredSubpath]] = {}
-    for c in build_pool(path).colored:
-        starting.setdefault(c.edge_span[0], []).append(c)
-    # A family labels each edge free, single, inside an element, or first edge
-    # of one of the at most two colored elements that share a span, so no
-    # coefficient reaches 5**n_edges and the slots never carry into each other.
-    width = (5**n_edges).bit_length()
-
-    near: list[dict[int, int]] = [{} for _ in range(top)] + [{0: 1}]
-    marker: dict[int, int] = {}
-    arriving: dict[int, dict[int, int]] = {}  # rows of colored elements ending at a later edge
-    for p in range(n_edges):
-        every = _accumulate(dict(near[top]), marker)
-        for c in starting.get(p + 1, ()):
-            if c.color is Color.RED:
-                source = every
-            elif c.window is not None:
-                source = near[len(c.window_edges())]
-            else:
-                source = near[top]
-            _accumulate(arriving.setdefault(c.edge_span[1], {}), source, c.weight1, c.edge_count * width)
-        # Taking edge p+1 as a single edge puts a family in every near[L].
-        # Leaving it free puts a family one edge further from its last covered
-        # edge: the ``marker`` rows join near[L] from L = 2 on, near[L-1]
-        # moves up to near[L], and near[g+1] keeps its rows.
-        single = _accumulate({}, every, shift=width)
-        close = _accumulate(dict(single), marker)
-        near = [{}, single] + [_accumulate(dict(close), row) for row in near[1 : top - 1] + near[top:]]
-        marker = arriving.pop(p + 1, {})
-
-    total = _accumulate(dict(near[top]), marker)
-    mask = (1 << width) - 1
-    return LaurentPoly2._canonical({
-        (e, w1): coeff
-        for w1, packed in total.items()
-        for e in range(n_edges + 1)
-        if (coeff := (packed >> e * width) & mask)
-    })
+    terms: dict[tuple[int, int], int] = {}
+    for w1, packed in _scan(path, turns, 8 * size, 1).items():
+        data = packed.to_bytes((n_edges + 1) * size, "little")
+        for free in range(n_edges + 1):
+            if coeff := int.from_bytes(data[free * size:(free + 1) * size], "little"):
+                terms[n_edges - free, w1] = coeff
+    return LaurentPoly2._canonical(terms)

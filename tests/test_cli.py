@@ -64,15 +64,15 @@ def test_expand_cap_breach_exits_2(capsys):
     assert "budget" in err
 
 
-def test_expand_refuses_r7_n6_at_the_default_budget(capsys):
-    # The README's (7,6): 109 454 730 steps, just above the default 10^8.
-    code, out, err = run(capsys, "expand", "--r", "7", "--n", "6")
+def test_expand_refuses_r5_n7_at_the_default_budget(capsys):
+    # The README's (5,7): 114 745 344 steps, just above the default 10^8.
+    code, out, err = run(capsys, "expand", "--r", "5", "--n", "7")
     assert (code, out) == (2, "")
-    assert err == "error: (r=7, n=6) needs 109454730 aggregation steps, above the budget 100000000\n"
+    assert err == "error: (r=5, n=7) needs 114745344 aggregation steps, above the budget 100000000\n"
 
 
 def test_expand_both_engines_agree_at_height_35(capsys):
-    # (6,6) has height 35; it needs 27 232 200 aggregation steps, inside the default budget.
+    # (6,6) has height 35; it needs 4 560 840 aggregation steps, inside the default budget.
     code, out, _ = run(capsys, "expand", "--r", "6", "--n", "6", "--engine", "both")
     assert code == 0
     assert "DIFF" not in out
@@ -89,7 +89,7 @@ def test_budget_refused_before_classification(capsys):
 
 
 def test_config_budget_flag_sets_the_budget(capsys):
-    # (3,7) needs 1 300 992 steps.
+    # (3,7) needs 290 752 steps.
     code, _, _ = run(capsys, "expand", "--r", "3", "--n", "7", "--config-budget", "1000")
     assert code == 2
     code, _, _ = run(capsys, "expand", "--r", "3", "--n", "7", "--config-budget", str(2**22))

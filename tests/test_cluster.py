@@ -101,11 +101,11 @@ def test_cluster_variable_budget():
         cluster_variable(3, 7, config_budget=1000)
 
 
-def test_default_budget_admits_2_117_and_refuses_2_118():
-    # (2,117) needs 98 182 400 scan steps and (2,118) needs 101 545 704.
-    assert sum(f_polynomial(2, 117).terms.values()) == family_count(2, 117)
+def test_default_budget_admits_2_233_and_refuses_2_234():
+    # (2,233) needs 98 716 464 scan steps and (2,234) needs 100 003 600.
+    assert sum(f_polynomial(2, 233).terms.values()) == family_count(2, 233)
     with pytest.raises(ConfigBudgetError):
-        f_polynomial(2, 118)
+        f_polynomial(2, 234)
 
 
 def _d(r, k):
@@ -327,7 +327,7 @@ def test_verify_range_small_sweep():
 def test_verify_range_reports_skips():
     rows = verify_range(3, 10, config_budget=10**4)
     status = {(row["r"], row["n"]): row["status"] for row in rows}
-    assert status[(3, 7)] == "skipped"  # needs 1 300 992 aggregation steps
+    assert status[(3, 7)] == "skipped"  # needs 290 752 aggregation steps
     assert status[(2, 8)] == "pass"
 
 

@@ -3,7 +3,7 @@ import pytest
 from rank2cluster import combinat
 from rank2cluster.caps import DEFAULT_CONFIG_BUDGET
 from rank2cluster.combinat import build_pool, generating_poly
-from rank2cluster.dyck import build_path, classify, dim_sequence
+from rank2cluster.dyck import Color, build_path, classify, dim_sequence
 from rank2cluster.errors import ConfigBudgetError
 from rank2cluster.laurent import LaurentPoly2
 
@@ -163,44 +163,109 @@ def test_generating_poly_invariants(cell):
 
 def test_generating_poly_budget():
     with pytest.raises(ConfigBudgetError):
-        generating_poly(build_path(3, 6), config_budget=100)  # needs 44 550 steps
+        generating_poly(build_path(3, 6), config_budget=100)  # needs 17 820 steps
 
 
-@pytest.mark.parametrize("cell", [(5, 6), (6, 6), (3, 8), (2, 30), (20, 5), (4, 7)])
+@pytest.mark.parametrize("cell", [(5, 6), (6, 6), (3, 8), (2, 30), (20, 5), (4, 7), (7, 6)])
 def test_generating_poly_matches_oracle_on_tall_cells(cell):
     # Heights 20 to 56: far too many families to enumerate, and up to 2^56
     # sets of compatible colored elements.  (3,8), (2,30) and (20,5) are the
-    # upward cells of the oracle-deep benchmark; (4,7) needs 86 650 830 of
-    # the default 10^8 aggregation steps.
+    # upward cells of the oracle-deep benchmark; (4,7) needs 9 025 380 and
+    # (7,6), refused by the earlier step count, 15 296 820 of the default
+    # 10^8 aggregation steps.
     assert generating_poly(build_path(*cell)) == f_polynomial_from_oracle(*cell)
 
 
-@pytest.mark.parametrize("cell", [(3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7)])
+@pytest.mark.parametrize("cell", [(2, 12), (3, 7), (4, 6), (5, 6), (7, 5)],
+                         ids=lambda cell: "r{}_n{}".format(*cell))
+def test_turns_fix_the_color_of_every_later_pair(cell):
+    # The scan reads one element per vertex: (i, k) is blue before the turn
+    # (i, t) and has the turn's color and window from k = t on.
+    path = build_path(*cell)
+    turns = combinat._turns(path)
+    for c in build_pool(path).colored:
+        turn = turns.get(c.i)
+        if turn is None or c.k < turn.k:
+            assert c.color is Color.BLUE
+        else:
+            assert (c.color, c.window) == (turn.color, turn.window)
+
+
+SLOT_CELLS = [(3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7)]
+
+
+@pytest.mark.parametrize("cell", SLOT_CELLS)
 def test_scan_steps_track_the_row_additions(cell, monkeypatch):
     added = []
-    accumulate = combinat._accumulate
+    accumulate, difference = combinat._accumulate, combinat._difference
 
     def counting(dest, src, *args, **kwargs):
         added.append(len(src))
         return accumulate(dest, src, *args, **kwargs)
 
+    def counting_difference(minuend, subtrahend, *args, **kwargs):
+        added.append(len(minuend))
+        return difference(minuend, subtrahend, *args, **kwargs)
+
     monkeypatch.setattr(combinat, "_accumulate", counting)
+    monkeypatch.setattr(combinat, "_difference", counting_difference)
     path = build_path(*cell)
     generating_poly(path, config_budget=10**9)
-    # Each added row is a packed int of n_edges + 1 slots.
+    # Each added or subtracted row is a packed int of n_edges + 1 slots.
     work = sum(added) * (path.n_edges + 1)
     assert work <= combinat.scan_steps(path.r, path.n, path.dims) <= 8 * work
 
 
+def _admitted_cells(sum_cap):
+    for r in range(2, sum_cap - 2):
+        for n in range(3, sum_cap - r + 1):
+            if combinat.scan_steps(r, n, dim_sequence(r, n - 1)) <= DEFAULT_CONFIG_BUDGET:
+                yield r, n
+
+
+@pytest.mark.parametrize("cell", list(_admitted_cells(12)), ids=lambda cell: "r{}_n{}".format(*cell))
+def test_plain_int_pass_counts_the_families(cell):
+    # The width-0, step-0 pass evaluates the scan at y1 = y2 = 1: one int row.
+    path = build_path(*cell)
+    count = family_count(*cell)
+    assert combinat._scan(path, combinat._turns(path), 0, 0) == {0: count}
+    assert generating_poly(path).eval_at(1, 1) == count
+
+
+@pytest.mark.parametrize("cell", SLOT_CELLS)
+def test_no_slot_exceeds_the_family_count(cell, monkeypatch):
+    # Run the packed pass with slots of (5**E).bit_length() bits, far wider
+    # than needed, and decode every row the scan adds, subtracts or keeps.
+    path = build_path(*cell)
+    n_edges, width = path.n_edges, (5**path.n_edges).bit_length()
+    mask, largest = (1 << width) - 1, []
+
+    def record(rows):
+        for packed in rows.values():
+            assert 0 <= packed < 1 << (n_edges + 1) * width
+            largest.append(max((packed >> e * width) & mask for e in range(n_edges + 1)))
+        return rows
+
+    accumulate, difference = combinat._accumulate, combinat._difference
+    monkeypatch.setattr(combinat, "_accumulate", lambda *a, **k: record(accumulate(*a, **k)))
+    monkeypatch.setattr(combinat, "_difference", lambda *a, **k: record(difference(*a, **k)))
+    total = combinat._scan(path, combinat._turns(path), width, 1)
+    count = family_count(*cell)
+    assert max(largest) <= count
+    assert sum((packed >> e * width) & mask for packed in total.values()
+               for e in range(n_edges + 1)) == count
+
+
 @pytest.mark.parametrize(("cell", "steps"), [
-    ((3, 7), 1_300_992), ((3, 8), 48_752_480), ((4, 7), 86_650_830),
-    ((2, 117), 98_182_400), ((2, 118), 101_545_704), ((7, 6), 109_454_730),
-])
+    ((3, 7), 290_752), ((3, 8), 5_018_160), ((4, 7), 9_025_380), ((7, 6), 15_296_820),
+    ((3, 9), 88_682_580), ((2, 233), 98_716_464), ((2, 234), 100_003_600),
+    ((5, 7), 114_745_344),
+], ids=lambda value: "r{}_n{}".format(*value) if isinstance(value, tuple) else str(value))
 def test_scan_steps_match_the_readme_budget_numbers(cell, steps):
     r, n = cell
     assert combinat.scan_steps(r, n, dim_sequence(r, n - 1)) == steps
-    # The README's admission split at the default budget: (2,118) and (7,6) are refused.
-    assert (steps <= DEFAULT_CONFIG_BUDGET) == (cell not in {(2, 118), (7, 6)})
+    # The README's admission split at the default budget: (2,234) and (5,7) are refused.
+    assert (steps <= DEFAULT_CONFIG_BUDGET) == (cell not in {(2, 234), (5, 7)})
 
 
 def test_family_json_lines_schema():

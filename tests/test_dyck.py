@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rank2cluster import combinat
 from rank2cluster.dyck import (
     Color,
     build_path,
@@ -232,15 +231,6 @@ def test_green_table_is_the_one_exhaustive_match():
             assert length == d[m - 2] - w * d[m - 3], (r, n, m, w)
         cells += 1
     assert cells == 74
-
-
-def test_longest_window_is_the_green_tables_longest():
-    # The 74 green cells, r = 2 (no greens) and n <= 4 (no level m to match).
-    cells = [*_green_cells(), *((2, n) for n in range(3, 40)), (3, 3), (3, 4), (7, 4)]
-    for r, n in cells:
-        path = build_path(r, n)
-        longest = max((length for _, _, length in green_table(path).values()), default=1)
-        assert combinat._longest_window(r, n, path.dims) == longest, (r, n)
 
 
 def test_path_json_schema():
