@@ -1,8 +1,11 @@
 """Command-line front end with deterministic, scriptable output.
 
 Subcommands: expand, fpoly, gvector, euler, verify, path.  Every subcommand
-takes ``--out``, ``--max-exponent`` (must be positive) and
-``--config-budget``; all but ``verify`` also take the cell ``--r`` and ``--n``.
+takes ``--out`` and ``--max-exponent``; all but ``verify`` also take the
+cell ``--r`` and ``--n``.  The four that run the formula engine, ``expand``,
+``fpoly``, ``euler`` and ``verify``, also take ``--config-budget``;
+``gvector`` and ``path`` refuse it as an unknown argument.  Both caps must
+be positive.
 
 Exit codes: 0 success, 1 bad arguments, invalid parameters or an unwritable
 ``--out`` path, 2 resource-cap breach, 3 engine mismatch or verification
@@ -54,13 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, cell: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, cell: bool = True, budget: bool = True) -> None:
         if cell:
             p.add_argument("--r", type=int, required=True, help="recursion exponent r")
             p.add_argument("--n", type=int, required=True, help="cluster variable index n")
         p.add_argument("--out", type=str, default=None, help="write output to this file")
         p.add_argument("--max-exponent", type=int, default=DEFAULT_MAX_EXPONENT)
-        p.add_argument("--config-budget", type=int, default=DEFAULT_CONFIG_BUDGET)
+        if budget:
+            p.add_argument("--config-budget", type=int, default=DEFAULT_CONFIG_BUDGET)
 
     p_expand = sub.add_parser("expand", help="Laurent expansion of x_n")
     add_common(p_expand)
@@ -72,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fpoly.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
 
     p_gvec = sub.add_parser("gvector", help="g-vector of x_n")
-    add_common(p_gvec)
+    add_common(p_gvec, budget=False)
 
     p_euler = sub.add_parser("euler", help="Euler characteristic table (CSV)")
     add_common(p_euler)
@@ -84,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify, cell=False)
 
     p_path = sub.add_parser("path", help="render the maximal Dyck path")
-    add_common(p_path)
+    add_common(p_path, budget=False)
     style = p_path.add_mutually_exclusive_group()
     style.add_argument("--ascii", action="store_true", help="ASCII art (default)")
     style.add_argument("--svg", action="store_true")
@@ -203,7 +207,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.max_exponent < 1:
             raise ValueError("--max-exponent must be positive")
-        if args.config_budget < 1:
+        if "config_budget" in args and args.config_budget < 1:
             raise ValueError("--config-budget must be positive")
         return _HANDLERS[args.command](args)
     except (ConfigBudgetError, ExponentOverflowError, GridSizeError) as exc:

@@ -22,23 +22,24 @@ edges carries all families at once in two sums: ``top``, the families in
 which no colored element ends at the current edge, and ``marker``, those in
 which one does.  The elements from a vertex v_i are blue up to the first
 vertex whose slope from v_i exceeds the diagonal and all of one color from
-there on, so each v_i hands the scan at most two sources, and one running
-sum, which takes a source when it comes into reach and drops a blue one
-when it stops, gives ``marker`` at every vertex.  A green source is ``top``
-minus the families whose covered edges all lie before its window, a
-snapshot kept from the edge before the window until its last reader.  The
-scan makes two row merges per edge and at most six per vertex, a cost
-polynomial in the path size; ``check_budget`` refuses a cell whose
-``scan_steps`` exceed ``config_budget`` before its path is built.  The
-family count is exponential in the edge count (every subset of single
-edges is a family), so the aggregated route is the only scalable one.  The
-brute-force family stream that checks it lives with the test oracles in
-``tests/oracles.py``.
+there on, so each v_i hands the scan at most two sources.  Each source is
+written, signed and weighted, into one change map under the vertex where
+it comes into reach and, for a blue one, under the vertex where it stops;
+one running sum moves up a weight at each vertex, takes that vertex's
+changes and is ``marker`` there.  A green source is ``top`` minus the
+families whose covered edges all lie before its window, and that
+correction goes into the map at the edge before the window, so no sum is
+kept for later.  The scan makes two row merges per edge and at most five
+per vertex, a cost polynomial in the path size; ``check_budget`` refuses a
+cell whose ``scan_steps`` exceed ``config_budget`` before its path is
+built.  The family count is exponential in the edge count (every subset of
+single edges is a family), so the aggregated route is the only scalable
+one.  The brute-force family stream that checks it lives with the test
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CONFIG_BUDGET
@@ -67,11 +68,12 @@ def build_pool(path: DyckPath) -> PiecePool:
 def scan_steps(r: int, n: int, dims: DimSequence) -> int:
     """Steps of the edge scan for (r, n), from d(1)..d(n-1) alone.
 
-    Each of the E = d(n-1) edges merges 2 rows and each of the h = d(n-2)
-    vertices v_i, i < h, at most 6: a source joins ``running`` and a blue
-    one is owed to ``leaving``, a green source is one difference, and v_i
-    itself takes what leaves and joins there.  A merge adds at most h+1
-    weights of E+1 slots.
+    Each of the E = d(n-1) edges merges 2 rows, and each of the h = d(n-2)
+    vertices v_i, i < h, at most 5 into ``changes`` and ``running``: a blue
+    source where it joins and where it leaves, a green source and its
+    correction or a red source, and v_i's own changes into ``running``.
+    The count keeps the 6 per vertex it was set with, so that no cell's
+    admission changes.  A merge adds at most h+1 weights of E+1 slots.
     """
     n_edges, height = dims.value(n - 1), dims.value(n - 2)
     return (2 * n_edges + 6 * height) * (height + 1) * (n_edges + 1)
@@ -94,16 +96,14 @@ def _accumulate(
     return dest
 
 
-def _difference(
-    minuend: dict[int, int], subtrahend: dict[int, int], shift: int = 0
+def _subtract(
+    dest: dict[int, int], src: dict[int, int], weight1: int = 0, shift: int = 0
 ) -> dict[int, int]:
-    """``minuend`` minus ``subtrahend`` shifted ``shift`` bits, row by row, dropping zero rows.
-
-    The subtrahend counts some of the minuend's families, so no slot goes
-    below zero and the packed ints subtract slot by slot.
-    """
-    return {w: rest for w, packed in minuend.items()
-            if (rest := packed - (subtrahend.get(w, 0) << shift))}
+    """Subtract the rows of ``src``, times y2^weight1 and shifted ``shift`` bits, from ``dest``."""
+    for w, packed in src.items():
+        key = w + weight1
+        dest[key] = dest[key] - (packed << shift) if key in dest else -(packed << shift)
+    return dest
 
 
 def _turns(path: DyckPath) -> dict[int, ColoredSubpath]:
@@ -126,56 +126,52 @@ def _scan(
     ``turns[i]`` is the element (i, t) for the first vertex v_t whose slope
     from v_i exceeds the diagonal: (i, k) is blue for k < t and has the
     color and window of ``turns[i]`` from t on.  The families that reach v_k
-    through an element (i, k) are y2^k times ``running``, a sum over the
-    v_i in reach of y2^(-i) times a source: ``top`` at v_i for a blue
-    element (no chain), ``every`` one edge before v_i for a red one, and
-    for a green one with an L-edge window ``top`` minus y1^L times
-    ``every`` from L edges back (the families whose covered edges all lie
-    before the window, padded with L free edges).  A source waits in
-    ``joining`` for v_{i+1} (blue) or v_t, and a blue one in ``leaving`` for
-    v_t.  ``every`` is kept only at the edges before a green window, until
-    its last reader.
+    through an element (i, k) are ``running``, a sum over the v_i in reach
+    of y2^(k-i) times a source: ``top`` at v_i for a blue element (no
+    chain), ``every`` one edge before v_i for a red one, and for a green one
+    with an L-edge window ``top`` minus y1^L times ``every`` from the edge
+    before the window (the families whose covered edges all lie before the
+    window, padded with L free edges).  ``running`` moves up y2^step at each
+    vertex and takes ``changes[k]`` at v_k: the sources that come into reach
+    there and, negated, the blue ones that stop there, each already weighted
+    y2^(k-i).  Every term goes into ``changes`` at the edge where it is
+    known, the green correction at the edge before the window, so no sum is
+    kept for later.
     """
     height, v_index = path.height, path.v_index
     vertex_at = {e: j for j, e in enumerate(v_index)}
-    readers = Counter(v_index[i] - len(c.window_edges()) for i, c in turns.items()
-                      if c.color is Color.GREEN)
+    # The edge before each green window -> (t, weight1, shift) of the green correction.
+    corrections: dict[int, list[tuple[int, int, int]]] = {}
+    for i, turn in turns.items():
+        if turn.color is Color.GREEN:
+            window = len(turn.window_edges())
+            corrections.setdefault(v_index[i] - window, []).append(
+                (turn.k, (turn.k - i) * step, window * width))
 
     top: dict[int, int] = {0: 1}
     marker: dict[int, int] = {}
-    snapshots: dict[int, dict[int, int]] = {}
     running: dict[int, int] = {}
-    joining: dict[int, dict[int, int]] = {}
-    leaving: dict[int, dict[int, int]] = {}
+    changes: dict[int, dict[int, int]] = {}
     for p in range(path.n_edges):
         every = _accumulate(dict(top), marker)
-        if p in readers:
-            snapshots[p] = every
+        for t, weight, shift in corrections.get(p, ()):
+            _subtract(changes.setdefault(t, {}), every, weight, shift)
         if (i := vertex_at.get(p)) is not None:
             turn = turns.get(i)
             t = height + 1 if turn is None else turn.k
             if i + 1 < t:
-                _accumulate(joining.setdefault(i + 1, {}), top, -i * step)
+                _accumulate(changes.setdefault(i + 1, {}), top, step)
                 if turn is not None:
-                    _accumulate(leaving.setdefault(t, {}), top, -i * step)
+                    _subtract(changes.setdefault(t, {}), top, (t - i) * step)
             if turn is not None and turn.color is Color.GREEN:
-                window = len(turn.window_edges())
-                lag = p - window
-                supported = _difference(top, snapshots[lag], window * width)
-                readers[lag] -= 1
-                if not readers[lag]:
-                    del snapshots[lag]
-                _accumulate(joining.setdefault(t, {}), supported, -i * step)
+                _accumulate(changes.setdefault(t, {}), top, (t - i) * step)
         k = vertex_at.get(p + 1)
         if (turn := turns.get(k)) is not None and turn.color is Color.RED:
-            _accumulate(joining.setdefault(turn.k, {}), every, -k * step)
+            _accumulate(changes.setdefault(turn.k, {}), every, (turn.k - k) * step)
         top = _accumulate(dict(every), every, shift=width)
         marker = {}
         if k is not None:
-            if k in leaving:
-                running = _difference(running, leaving.pop(k))
-            _accumulate(running, joining.pop(k, {}))
-            marker = {w + k * step: packed for w, packed in running.items()}
+            running = marker = _accumulate(changes.pop(k, {}), running, step)
     return _accumulate(top, marker)
 
 
@@ -187,16 +183,14 @@ def generating_poly(path: DyckPath, config_budget: int = DEFAULT_CONFIG_BUDGET) 
     second keeps a row per weight1 and gives each power of y1 a slot of
     bits(F) bits, rounded up to whole bytes for decoding.
 
-    No slot carries into the next.  Every slot the scan makes, in ``top``,
-    ``every``, ``marker``, ``running``, ``joining``, ``leaving``, a snapshot
-    or a green source, counts distinct partial families on edges 1..p with
-    fixed statistics: a difference is taken before anything is added to it,
-    and ``running`` drops what leaves it at a vertex before it takes what
-    joins there.  Padding a partial family with the free edges p+1..E gives
-    a family of the whole path, with statistics shifted by a fixed amount,
-    and distinct partial families give distinct families.  So no slot
-    exceeds F < 2**bits(F).  The argument uses only the scan, not the
-    paper's theorem on x_n.
+    Packing evaluates each row at y1 = 2**width, a ring homomorphism, so a
+    packed sum, difference or shift is the packing of the same operation on
+    polynomials, and signed or oversized slots along the way cancel
+    exactly.  Only the decoded final rows must fit in their slots: their
+    coefficients count families of the path, so none exceeds F <
+    2**bits(F).  ``top``, ``every`` and ``running`` still count partial
+    families; the ``changes`` maps are signed and never decoded.  The
+    argument uses only the scan, not the paper's theorem on x_n.
 
     Its ``scan_steps`` are checked against ``config_budget`` before the path
     is classified; a larger count raises ``ConfigBudgetError``.

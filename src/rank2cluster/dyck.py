@@ -31,10 +31,11 @@ class DimSequence:
 
     Strictly increasing from d(2) onward when r >= 2; consecutive values are
     coprime.  Governs rectangle dimensions and denominator exponents.
+    ``values`` is a tuple, or at r = 2, where d(k) = k - 1, a ``range``.
     """
 
     r: int
-    values: tuple[int, ...]
+    values: tuple[int, ...] | range
 
     def value(self, k: int) -> int:
         """d(k) for 1 <= k <= len(values)."""
@@ -48,11 +49,18 @@ def dim_sequence(r: int, upto: int, max_exponent: int = DEFAULT_MAX_EXPONENT) ->
 
     Raises ``ExponentOverflowError`` as soon as a value exceeds
     ``max_exponent``; the sequence grows like ((r+sqrt(r^2-4))/2)^k for r > 2.
+    At r = 2 it is d(k) = k - 1, checked and returned in constant time.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if upto < 2:
         raise ValueError(f"upto must be >= 2, got {upto}")
+    if r == 2:
+        if upto >= (first := max(3, max_exponent + 2)):  # the first k >= 3 with k - 1 > cap
+            raise ExponentOverflowError(
+                f"d({first}) = {first - 1} exceeds the cap {max_exponent} (r=2)"
+            )
+        return DimSequence(r=2, values=range(upto))
     values = [0, 1]
     while len(values) < upto:
         nxt = r * values[-1] - values[-2]

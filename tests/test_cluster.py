@@ -200,6 +200,17 @@ def test_g_vector_negative_indices():
     assert g_vector(3, -1) == GVector(-1, 0)
 
 
+def test_r2_admission_takes_constant_time(time_limit):
+    # d(k) = k - 1 at r = 2: a billion-index cell is admitted or refused
+    # without building d(1)..d(n).
+    assert g_vector(2, 10**9, max_exponent=10**10) == GVector(-(10**9 - 2), 10**9 - 1)
+    assert g_vector(2, 3 - 10**9, max_exponent=10**10) == GVector(-(10**9 - 3), 10**9 - 4)
+    with pytest.raises(ConfigBudgetError):
+        cluster_variable(2, 10**9, max_exponent=10**10)
+    with pytest.raises(ExponentOverflowError, match=r"^d\(102\) = 101 exceeds the cap 100 \(r=2\)$"):
+        g_vector(2, 10**9, max_exponent=100)
+
+
 def test_g_vector_matches_denominator_component():
     for r, n in [(2, 6), (3, 5), (4, 5)]:
         value = cluster_variable(r, n).value

@@ -197,18 +197,15 @@ SLOT_CELLS = [(3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7)]
 @pytest.mark.parametrize("cell", SLOT_CELLS)
 def test_scan_steps_track_the_row_additions(cell, monkeypatch):
     added = []
-    accumulate, difference = combinat._accumulate, combinat._difference
 
-    def counting(dest, src, *args, **kwargs):
-        added.append(len(src))
-        return accumulate(dest, src, *args, **kwargs)
+    def counting(merge):
+        def merge_and_count(dest, src, *args, **kwargs):
+            added.append(len(src))
+            return merge(dest, src, *args, **kwargs)
+        return merge_and_count
 
-    def counting_difference(minuend, subtrahend, *args, **kwargs):
-        added.append(len(minuend))
-        return difference(minuend, subtrahend, *args, **kwargs)
-
-    monkeypatch.setattr(combinat, "_accumulate", counting)
-    monkeypatch.setattr(combinat, "_difference", counting_difference)
+    monkeypatch.setattr(combinat, "_accumulate", counting(combinat._accumulate))
+    monkeypatch.setattr(combinat, "_subtract", counting(combinat._subtract))
     path = build_path(*cell)
     generating_poly(path, config_budget=10**9)
     # Each added or subtracted row is a packed int of n_edges + 1 slots.
@@ -235,7 +232,10 @@ def test_plain_int_pass_counts_the_families(cell):
 @pytest.mark.parametrize("cell", SLOT_CELLS)
 def test_no_slot_exceeds_the_family_count(cell, monkeypatch):
     # Run the packed pass with slots of (5**E).bit_length() bits, far wider
-    # than needed, and decode every row the scan adds, subtracts or keeps.
+    # than needed, and decode every sum the scan reads back (``top``,
+    # ``every`` and ``running``, each the source of a later merge) and the
+    # rows it returns.  A ``changes`` map is signed by design until it is
+    # added to ``running``, and nothing reads it before, so it is not decoded.
     path = build_path(*cell)
     n_edges, width = path.n_edges, (5**path.n_edges).bit_length()
     mask, largest = (1 << width) - 1, []
@@ -246,10 +246,12 @@ def test_no_slot_exceeds_the_family_count(cell, monkeypatch):
             largest.append(max((packed >> e * width) & mask for e in range(n_edges + 1)))
         return rows
 
-    accumulate, difference = combinat._accumulate, combinat._difference
-    monkeypatch.setattr(combinat, "_accumulate", lambda *a, **k: record(accumulate(*a, **k)))
-    monkeypatch.setattr(combinat, "_difference", lambda *a, **k: record(difference(*a, **k)))
-    total = combinat._scan(path, combinat._turns(path), width, 1)
+    def reading(merge):
+        return lambda dest, src, *a, **k: merge(dest, record(src), *a, **k)
+
+    monkeypatch.setattr(combinat, "_accumulate", reading(combinat._accumulate))
+    monkeypatch.setattr(combinat, "_subtract", reading(combinat._subtract))
+    total = record(combinat._scan(path, combinat._turns(path), width, 1))
     count = family_count(*cell)
     assert max(largest) <= count
     assert sum((packed >> e * width) & mask for packed in total.values()

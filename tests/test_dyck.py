@@ -26,7 +26,9 @@ def test_dim_sequence_r3():
 
 
 def test_dim_sequence_r2_is_linear():
-    assert dim_sequence(2, 6).values == (0, 1, 2, 3, 4, 5)
+    # d(k) = k - 1 at r = 2, held as a range rather than built value by value.
+    assert dim_sequence(2, 6).values == range(6)
+    assert tuple(dim_sequence(2, 6).values) == (0, 1, 2, 3, 4, 5)
 
 
 def test_dim_sequence_r4_prefix():
