@@ -5,7 +5,9 @@ d(1)..d(n) before any work starts; the CLI exposes them as flags.  They bound
 the formula engine's scan and every exponent; the r = 1 oracle walk needs no
 cap, as its period bounds it to five steps.  The character grid of ``path
 --ascii`` has a fixed cap, checked from the path's box before the grid is
-built.  Not bounded: the oracle's cost at r >= 2.
+built, and so has the path of ``--json``, ``--svg`` and ``--tikz``, checked
+from d(n-1) and d(n-2) before the path is built.  Not bounded: the oracle's
+cost at r >= 2.
 """
 
 # Largest exponent magnitude allowed: x_n is refused when d(n) exceeds it.
@@ -19,3 +21,11 @@ DEFAULT_CONFIG_BUDGET = 10**8
 # builds.  (3,12) needs 43 228 347 cells (about 7 s and 440 MB on a 2-core
 # Linux host, Python 3.11); (4,10) needs 92 626 461 and is refused.
 MAX_ASCII_CELLS = 5 * 10**7
+
+# Largest d(n-1) + d(n-2), the path's edges plus its distinguished vertices,
+# that ``path --json``, ``--svg`` and ``--tikz`` build.  Every path admitted at
+# DEFAULT_MAX_EXPONENT fits: its d(n-1) is at most 10**6.  The largest,
+# (2,1000002) with 1 999 999, takes 0.8 s and 181 MB peak RSS for --json,
+# 2.0 s and 476 MB for --tikz and 4.7 s and 868 MB for --svg (2-core Linux
+# host, Python 3.11.7); (2,1000003) is refused when --max-exponent admits it.
+MAX_PATH_SIZE = 2 * 10**6

@@ -17,7 +17,10 @@ d(n-1)) refuses a cell whose d(n) exceeds ``--max-exponent``.
 ``--config-budget`` caps the formula engine's edge scan; it comes from the
 flag, else the default, and ``main`` checks both caps once.  At r = 1 the
 oracle walks at most five steps.  ``path --ascii`` refuses a character grid
-over ``caps.MAX_ASCII_CELLS`` with exit 2.  ``verify`` prints a note to
+over ``caps.MAX_ASCII_CELLS`` with exit 2, and ``--json``, ``--svg`` and
+``--tikz`` refuse a path whose d(n-1) edges and d(n-2) distinguished
+vertices number over ``caps.MAX_PATH_SIZE`` with exit 2, before the path is
+built.  ``verify`` prints a note to
 stderr when its sweep has no cell.
 """
 
@@ -30,8 +33,8 @@ import sys
 from typing import Sequence
 
 from . import cluster, render
-from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
-from .dyck import build_path, classify
+from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT, MAX_PATH_SIZE
+from .dyck import build_path, classify, dim_sequence
 from .errors import ConfigBudgetError, ExponentOverflowError, GridSizeError
 
 EXIT_OK = 0
@@ -171,6 +174,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_path(args: argparse.Namespace) -> int:
+    if (args.json or args.svg or args.tikz) and args.n >= 3:
+        dims = dim_sequence(args.r, args.n - 1, max_exponent=args.max_exponent)
+        size = dims.value(args.n - 1) + dims.value(args.n - 2)
+        if size > MAX_PATH_SIZE:
+            raise GridSizeError(f"the path has {size} edges and distinguished vertices, "
+                                f"over the cap of {MAX_PATH_SIZE}")
     path = build_path(args.r, args.n, max_exponent=args.max_exponent)
     overlay = None
     if args.overlay is not None:

@@ -31,4 +31,4 @@ class ConfigBudgetError(Rank2ClusterError):
 
 
 class GridSizeError(Rank2ClusterError):
-    """An ASCII path picture would exceed the character-grid cap."""
+    """A path output would exceed its cap: the ASCII character grid, or the path itself."""

@@ -23,14 +23,18 @@ the number of products summed, plus a sign bit, rounded up to bytes.  Slots
 decode as signed values plus the borrow the slots below leave.  A packed row
 has a slot for every lattice point between its lowest and highest key.
 
-``_add_product`` is the product of ``*`` and ``**``.  ``div_exact`` walks the
-quotient lowest first, so each finished quotient row times the divisor's
-other rows lands in later rows; it owes them as packed sums, decoded when the
-walk reaches them.  The quotient's exponents must lie in the box
-min(dividend) - min(divisor) .. max(dividend) - max(divisor); that box bounds
-the walk, so a non-exact division raises ``NonExactDivisionError`` and never
-loops.  Maps the package built canonical itself skip ``__init__``'s checks
-through the one trusted constructor, ``LaurentPoly2._canonical``.
+``_add_product`` is the product of ``*`` and ``**``.  ``div_exact`` divides
+packed rows: with each row one int, the division is one in x1 over Z, one
+``divmod`` per quotient row, e1 ascending, and each quotient row times the
+divisor's other rows is owed, still packed, to later rows.  The quotient is
+decoded once; a check on its bits proves that no slot overflowed, and when it
+fails the division is retried once at a slot size that holds every exact
+quotient (a Mignotte bound), so every call ends after at most two sizes.  The
+quotient's exponents lie in the box min(dividend) - min(divisor) ..
+max(dividend) - max(divisor), and a non-exact division raises
+``NonExactDivisionError``.  Maps the package built canonical itself skip
+``__init__``'s checks through the one trusted constructor,
+``LaurentPoly2._canonical``.
 """
 
 from __future__ import annotations
@@ -221,16 +225,37 @@ class LaurentPoly2:
         <= max(self) - max(divisor), componentwise.  An empty box raises at
         once.
 
-        Quotient terms are found lowest first in one fixed order, rows of e1
-        ascending and e2 ascending inside a row, by dividing the remainder's
-        next term by the divisor's lowest term in that order.  Each remainder
-        row is walked once, from a heap of its keys that also takes the keys
-        the divisor's lowest row adds.  The finished quotient row times the
-        divisor's other rows is owed, packed, to the later rows, and decoded
-        into each when the walk reaches it.  A remainder term outside the box,
-        a coefficient not divisible over Z, or a nonzero remainder in the rows
-        above the box raises ``NonExactDivisionError``.  The box bounds the
-        walk, so every call ends.
+        Packing a row at x2 = 2^(8*size) maps Z[x2^±1] into Z as a ring
+        homomorphism, so the division becomes one in x1 with big-int
+        coefficients.  Every row of either operand is packed once, from its
+        own lowest key; a dividend row is shifted to the dividend's lowest e2,
+        and a divisor row after each product it enters.  Quotient rows are found e1
+        ascending: the dividend row, less what earlier quotient rows owe it,
+        is divided by the divisor's lowest row, both without their low zero
+        bits, in one ``divmod``, and the quotient row times each other divisor
+        row is owed to a later row.  Owed values stay packed; the quotient
+        rows are decoded once, at the end.
+
+        A slot size is checked after decoding: when bits(max|t|) +
+        bits(max|divisor|) + bits(min(#t, #divisor)) + 1 and
+        bits(max|self|) + 1 both fit a slot, t * divisor and self pack to the
+        same ints with every slot in range, so they are equal term for term.
+        The first size leaves bits(max|self|) + 1 for the largest product
+        coefficient, enough unless the product cancels there (the recursion's
+        coefficients are positive).  When its check fails the division is
+        retried once, at a size that holds every exact quotient:
+        ||t||_inf <= 2^(width + height) * ||self||_2 (Mignotte's bound
+        through the Mahler measure, with the box's width in e1 and height in
+        lattice steps), and ||self||_2 <= sqrt(#self) * max|self|.  A
+        division that fails the check at that size is not exact.
+
+        Only facts that hold at every slot size raise before the check: a
+        nonzero integer remainder, a nonzero row above the box, and a
+        remainder row whose lowest set bit lies below the box (a carry
+        between slots only moves it up).  ``NonExactDivisionError``
+        names the remainder "outside the quotient box" when the divisor's
+        lowest term has coefficient ±1, and "not divisible over Z" otherwise.
+        Every call ends after at most two sizes.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -238,83 +263,79 @@ class LaurentPoly2:
         if self.is_zero():
             return LaurentPoly2.zero()
 
-        # Imported here, not at module level: the formula engine never divides,
-        # so its processes skip loading heapq.
-        from heapq import heapify, heappop, heappush
-
-        rem = _to_rows(self._terms)
+        num = _to_rows(self._terms)
         den = _to_rows(divisor._terms)
-        g = _stride(rem, den)
-        # Every product lands at a key >= base, slot 0 of each accumulator.
-        base = min(map(min, rem.values()))
-        lo1 = min(den)
-        lo2 = min(map(min, den.values()))
-        first1 = min(rem) - lo1
-        last1 = max(rem) - max(den)
-        first2 = base - lo2
-        last2 = max(map(max, rem.values())) - max(map(max, den.values()))
+        g = _stride(num, den)
+        num_lo1, num_lo2 = min(num), min(map(min, num.values()))
+        den_lo1, den_lo2 = min(den), min(map(min, den.values()))
+        first1 = num_lo1 - den_lo1
+        last1 = max(num) - max(den)
+        first2 = num_lo2 - den_lo2
+        last2 = max(map(max, num.values())) - max(map(max, den.values()))
         if first1 > last1 or first2 > last2:
             raise NonExactDivisionError("divisor spans more exponents than the dividend")
-        # A slot sums at most len(divisor) products, plus a sign bit.
-        den_bits = _coeff_bits(den) + len(divisor).bit_length() + 1
-
-        # The lowest divisor row's other terms as offsets from its lowest term
-        # (lo1, lead2), negated, and the divisor's other rows packed per slot size.
-        lead_row = den.pop(lo1)
+        # Quotient bits: first as many as leave room for bits(max|self|) + 1,
+        # enough when the product does not cancel at its largest coefficient,
+        # then the bound on every exact quotient.  A slot also holds every
+        # coefficient of either operand.
+        num_bits = _coeff_bits(num)
+        den_bits = _coeff_bits(den)
+        proven = (last1 - first1 + (last2 - first2) // g
+                  + num_bits + (len(self).bit_length() + 1) // 2)
+        sizes = [-(-(bits + den_bits + len(divisor).bit_length() + 1) // 8)
+                 for bits in (max(num_bits + 1 - den_bits, 1), proven)]
+        lead_row = den.pop(den_lo1)
         lead2 = min(lead_row)
-        lead_coeff = lead_row.pop(lead2)
-        same_row = [(d2 - lead2, -dc) for d2, dc in lead_row.items()]
-        packed_den: dict[int, list[tuple[int, int, int]]] = {}
-        low_key, high_key = first2 + lead2, last2 + lead2
+        twos = _trailing_zeros(lead_row[lead2])
+        # Term by term, the remainder leaves the box unless a coefficient fails
+        # to divide by the lead, which needs |lead| > 1.
+        if abs(lead_row[lead2]) == 1:
+            inexact = "remainder term outside the quotient box"
+        else:
+            inexact = "coefficient not divisible over Z"
 
-        # Remainder row -> {slot size: packed sum of the products it still owes}.
-        pending: dict[int, dict[int, int]] = {}
-        quotient: Rows = {}
-        for e1 in range(first1 + lo1, last1 + lo1 + 1):
-            row = rem.pop(e1, {})
-            for size, value in pending.pop(e1, {}).items():
-                _add_unpacked(row, value, size, base, g)
-            if not row:
-                continue
-            qrow = quotient[e1 - lo1] = {}
-            heap = list(row)
-            heapify(heap)
-            while heap:
-                key = heappop(heap)
-                coeff = row[key]
-                if not coeff:
+        for size in dict.fromkeys(sizes):
+            slot = 8 * size
+            rows = [0] * (max(num) - num_lo1 + 1)
+            for e1, row in num.items():
+                lo, value = _pack(row, g, size)
+                rows[e1 - num_lo1] = value << (lo - num_lo2) // g * slot
+            # Divisor rows stay packed from their own lowest key, with the
+            # shift that moves them to den_lo2, so that products stay short.
+            others = []
+            for d1, row in den.items():
+                lo, value = _pack(row, g, size)
+                others.append((d1 - den_lo1, (lo - den_lo2) // g * slot, value))
+            # The lowest divisor row is an odd int shifted up by lead_zeros
+            # bits, of which the first box_zeros are its empty low slots.
+            box_zeros = (lead2 - den_lo2) // g * slot
+            lead_zeros = box_zeros + twos
+            lead = _pack(lead_row, g, size)[1] >> twos
+            packed = {}
+            for i in range(last1 - first1 + 1):
+                rest = rows[i]
+                if not rest:
                     continue
-                if key < low_key or key > high_key:
+                zeros = _trailing_zeros(rest)
+                if zeros < box_zeros:
                     raise NonExactDivisionError("remainder term outside the quotient box")
-                coeff, residue = divmod(coeff, lead_coeff)
-                if residue:
-                    raise NonExactDivisionError("coefficient not divisible over Z")
-                qrow[key - lead2] = coeff
-                for off2, neg in same_row:
-                    k = key + off2
-                    old = row.get(k)
-                    if old is None:
-                        row[k] = coeff * neg
-                        heappush(heap, k)
-                    else:
-                        row[k] = old + coeff * neg
-            if not (qrow and den):
-                continue
-            # Quotient bits round up to 64, so that rows share accumulators.
-            q_bits = -(-max(map(abs, qrow.values())).bit_length() // 64) * 64
-            size = -(-(q_bits + den_bits) // 8)
-            if size not in packed_den:
-                packed_den[size] = [(d1, *_pack(drow, g, size)) for d1, drow in den.items()]
-            qlo, qv = _pack(qrow, g, size)
-            for d1, dlo, dv in packed_den[size]:
-                owed = pending.setdefault(e1 - lo1 + d1, {})
-                owed[size] = owed.get(size, 0) - (qv * dv << (qlo + dlo - base) // g * 8 * size)
-        for e1, owed in pending.items():
-            for size, value in owed.items():
-                _add_unpacked(rem.setdefault(e1, {}), value, size, base, g)
-        if any(any(row.values()) for row in rem.values()):
-            raise NonExactDivisionError("nonzero remainder above the quotient box")
-        return _from_rows(quotient)
+                q, rest = divmod(rest >> zeros, lead)
+                if rest or zeros < lead_zeros:
+                    raise NonExactDivisionError(inexact)
+                zeros -= lead_zeros
+                packed[first1 + i] = q << zeros
+                for d, shift, value in others:
+                    rows[i + d] -= (q * value) << (zeros + shift)
+            if any(rows[last1 - first1 + 1:]):
+                raise NonExactDivisionError("nonzero remainder above the quotient box")
+            quotient: Rows = {}
+            for e1, value in packed.items():
+                _add_unpacked(quotient.setdefault(e1, {}), value, size, first2, g)
+            width = (_coeff_bits(quotient) + den_bits + 1
+                     + min(sum(map(len, quotient.values())), len(divisor)).bit_length())
+            if width <= slot:
+                return _from_rows(quotient)
+        raise NonExactDivisionError(inexact)
 
     # -- evaluation and symmetry --------------------------------------------
 
@@ -420,6 +441,11 @@ def _stride(*operands: Rows) -> int:
         lo = min(map(min, rows.values()))
         g = gcd(g, *(e2 - lo for row in rows.values() for e2 in row))
     return g or 1
+
+
+def _trailing_zeros(value: int) -> int:
+    """The number of low zero bits of a nonzero int."""
+    return (value & -value).bit_length() - 1
 
 
 def _coeff_bits(rows: Rows) -> int:

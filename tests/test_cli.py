@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank2cluster import cli
-from rank2cluster.caps import MAX_ASCII_CELLS
-from rank2cluster.dyck import build_path
+from rank2cluster.caps import DEFAULT_MAX_EXPONENT, MAX_ASCII_CELLS, MAX_PATH_SIZE
+from rank2cluster.dyck import build_path, dim_sequence
 from rank2cluster.laurent import LaurentPoly2
 
 from oracles import X5_R3_TERMS
@@ -147,11 +147,25 @@ def test_config_budget_must_be_positive(capsys, argv, budget):
 def test_config_budget_ignores_the_environment(capsys, monkeypatch, argv):
     # The budget has one source, the flag: the environment changes nothing.
     monkeypatch.delenv("CLUSTER_COMB_BUDGET", raising=False)
-    expected = run(capsys, *argv)
+    expected = _without_millis(argv, run(capsys, *argv))
     assert expected[0] == 0
     for value in ("0", "abc"):
         monkeypatch.setenv("CLUSTER_COMB_BUDGET", value)
-        assert run(capsys, *argv) == expected
+        assert _without_millis(argv, run(capsys, *argv)) == expected
+
+
+def _without_millis(argv, result):
+    """(code, stdout, stderr), with ``verify``'s rows parsed and their timing dropped.
+
+    ``millis`` is the one field of the output that is not deterministic.
+    """
+    code, out, err = result
+    if argv[0] != "verify":
+        return result
+    rows = [json.loads(line) for line in out.splitlines()]
+    for row in rows:
+        del row["millis"]
+    return code, rows, err
 
 
 def test_gvector_output(capsys):
@@ -305,6 +319,37 @@ def test_path_ascii_cap_admits_3_12_and_refuses_4_10(capsys, r, n, cells, refuse
         assert (code, out) == (2, "")
         assert err.startswith(f"error: the ASCII picture needs {cells} grid cells")
         assert len(err.splitlines()) == 1
+
+
+def test_path_cap_is_inclusive(capsys, monkeypatch):
+    # (3,5): d(4) = 8 edges and d(3) = 3 distinguished vertices.
+    monkeypatch.setattr(cli, "MAX_PATH_SIZE", 11)
+    code, out, _ = run(capsys, "path", "--r", "3", "--n", "5", "--json")
+    assert code == 0 and json.loads(out)["word"] == "EENEENEN"
+    monkeypatch.setattr(cli, "MAX_PATH_SIZE", 10)
+    for style in ("--json", "--svg", "--tikz"):
+        assert run(capsys, "path", "--r", "3", "--n", "5", style) == (
+            2, "", "error: the path has 11 edges and distinguished vertices, over the cap of 10\n")
+    # The ASCII grid has its own cap.
+    code, out, _ = run(capsys, "path", "--r", "3", "--n", "5")
+    assert code == 0 and "word=EENEENEN" in out
+
+
+def test_path_cap_admits_every_path_at_the_default_max_exponent():
+    # The largest d(n-1) admitted is the cap itself, at r = 2 where d(k) = k - 1.
+    n = DEFAULT_MAX_EXPONENT + 2
+    dims = dim_sequence(2, n - 1)
+    assert dims.value(n - 1) == DEFAULT_MAX_EXPONENT
+    assert dims.value(n - 1) + dims.value(n - 2) <= MAX_PATH_SIZE
+
+
+@pytest.mark.parametrize("style", ["--json", "--svg", "--tikz"])
+def test_path_refuses_a_long_path_before_building_it(capsys, time_limit, style):
+    code, out, err = run(capsys, "path", "--r", "2", "--n", "100000000", style,
+                         "--max-exponent", "10000000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: the path has 199999995 edges and distinguished vertices, "
+                   f"over the cap of {MAX_PATH_SIZE}\n")
 
 
 def test_path_json_schema(capsys):

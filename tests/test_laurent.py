@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rank2cluster.errors import NonExactDivisionError, PoleError
+from rank2cluster import laurent
 from rank2cluster.laurent import LaurentPoly2
 
 from oracles import EQ3_NUMERATOR_TERMS, reference_div_exact, reference_mul, reference_pow
@@ -168,10 +169,34 @@ def test_div_exact_rejects_non_integer_quotient():
     # Below the box: the divisor's lowest term in row 0 sits above the
     # dividend's constant term.
     ((X1 + X2) ** 3 + 1, X1 + X2, "outside the quotient box"),
+    # Every packed row divides by 2 at any slot size; only the bits check on
+    # the decoded quotient, at each of its slot sizes, rejects it.
+    (2 + X2, 2, "not divisible"),
+    # Lead 2: a remainder, though the in-box quotient 2 divides over Z.
+    (4 + 2 * X2 + X2**2, 2 + X2, "not divisible"),
 ])
 def test_div_exact_ends_on_non_exact_input(dividend, divisor, reason):
     with pytest.raises(NonExactDivisionError, match=reason):
         dividend.div_exact(divisor)
+
+
+@pytest.mark.parametrize("var", [X2, X1], ids=["one_row", "row_per_term"])
+def test_div_exact_retries_when_the_quotient_outgrows_the_dividend(monkeypatch, var):
+    # The quotient's coefficients need 60 bits and the dividend's 38, so the
+    # first slot size fails the bits check and the proven size is used.
+    dividend, divisor, quotient = (1 - var**3) ** 40, (1 - var) ** 40, (1 + var + var**2) ** 40
+    assert max(map(abs, quotient.terms.values())).bit_length() == 60
+    assert max(map(abs, dividend.terms.values())).bit_length() == 38
+    sizes = set()
+    pack = laurent._pack
+
+    def spy(row, g, size):
+        sizes.add(size)
+        return pack(row, g, size)
+
+    monkeypatch.setattr(laurent, "_pack", spy)
+    assert dividend.div_exact(divisor) == quotient
+    assert len(sizes) == 2
 
 
 def test_div_by_zero():
