@@ -19,9 +19,9 @@ flag, else the default, and ``main`` checks both caps once.  At r = 1 the
 oracle walks at most five steps.  ``path --ascii`` refuses a character grid
 over ``caps.MAX_ASCII_CELLS`` with exit 2, and ``--json``, ``--svg`` and
 ``--tikz`` refuse a path whose d(n-1) edges and d(n-2) distinguished
-vertices number over ``caps.MAX_PATH_SIZE`` with exit 2, before the path is
-built.  ``verify`` prints a note to
-stderr when its sweep has no cell.
+vertices number over ``caps.MAX_PATH_SIZE`` with exit 2, both before the
+path is built.  ``verify`` prints a note to stderr when its sweep has no
+cell.
 """
 
 from __future__ import annotations
@@ -174,12 +174,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_path(args: argparse.Namespace) -> int:
-    if (args.json or args.svg or args.tikz) and args.n >= 3:
+    if args.n >= 3:
+        # The box is d(n-1) - d(n-2) wide and d(n-2) high: d(n-1) edges.
         dims = dim_sequence(args.r, args.n - 1, max_exponent=args.max_exponent)
-        size = dims.value(args.n - 1) + dims.value(args.n - 2)
-        if size > MAX_PATH_SIZE:
-            raise GridSizeError(f"the path has {size} edges and distinguished vertices, "
-                                f"over the cap of {MAX_PATH_SIZE}")
+        edges, height = dims.value(args.n - 1), dims.value(args.n - 2)
+        if not (args.json or args.svg or args.tikz):
+            render.check_ascii_grid(edges - height, height)
+        elif edges + height > MAX_PATH_SIZE:
+            raise GridSizeError(f"the path has {edges + height} edges and distinguished "
+                                f"vertices, over the cap of {MAX_PATH_SIZE}")
     path = build_path(args.r, args.n, max_exponent=args.max_exponent)
     overlay = None
     if args.overlay is not None:

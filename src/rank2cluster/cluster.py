@@ -37,7 +37,7 @@ from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
 from .combinat import check_budget, generating_poly
 from .dyck import DimSequence, build_path, dim_sequence
 from .errors import ConfigBudgetError, ExponentOverflowError
-from .laurent import LaurentPoly2
+from .laurent import LaurentPoly2, _exchange
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,13 +93,14 @@ def _walk(r: int, downward: bool) -> Iterator[LaurentPoly2]:
     """x_3, x_4, ... (x_0, x_-1, ... when ``downward``), one recursion step per value.
 
     Holds only the last two values.  Downward, x_{m-1} = (x_m^r + 1) / x_{m+1}:
-    the same recursion started from (x2, x1) instead of (x1, x2).
+    the same recursion started from (x2, x1) instead of (x1, x2).  Each step
+    is ``laurent._exchange``, which packs x_m^r + 1 once.
     """
     prev, cur = LaurentPoly2.var1(), LaurentPoly2.var2()
     if downward:
         prev, cur = cur, prev
     while True:
-        prev, cur = cur, (cur**r + 1).div_exact(prev)
+        prev, cur = cur, _exchange(prev, cur, r)
         yield cur
 
 

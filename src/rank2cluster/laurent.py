@@ -11,38 +11,49 @@ guards live with the callers, which decide them before any arithmetic.  Values
 are immutable after construction and all operations are pure, so instances
 are safe to share across threads.
 
-The ring kernel the recursion oracle runs on (``*``, ``**`` and
-``div_exact``) works on rows, ``{e1: {e2: coeff}}`` with int keys, and
-converts to and from the canonical map once per call.  Rows multiply by
-Kronecker substitution on the exponent lattice: the e2 keys of each operand
-lie on lo + g*Z, g the gcd of their differences (r for every x_m of the
-recursion), so a row packs into one int with slot i holding the coefficient
-of lo + g*i, and a row times a row is one big-int multiply.  A slot holds the
-largest sum it can receive: the bits of the largest factors, plus the bits of
-the number of products summed, plus a sign bit, rounded up to bytes.  Slots
-decode as signed values plus the borrow the slots below leave.  A packed row
-has a slot for every lattice point between its lowest and highest key.
+The ring kernel the recursion oracle runs on (``*``, ``**``, ``div_exact``
+and the recursion step ``_exchange``) works on rows, ``{e1: {e2: coeff}}``
+with int keys.  Rows multiply by Kronecker substitution on the exponent
+lattice: the e2 keys of each operand lie on lo + g*Z, g the gcd of their
+differences (r for every x_m of the recursion), so a row packs into one int
+with slot i holding the coefficient of lo + g*i, and a row times a row is one
+big-int multiply.  Slots decode as signed values plus the borrow the slots
+below leave.  A packed row has a slot for every lattice point between its
+lowest and highest key.
 
-``_add_product`` is the product of ``*`` and ``**``.  ``div_exact`` divides
-packed rows: with each row one int, the division is one in x1 over Z, one
-``divmod`` per quotient row, e1 ascending, and each quotient row times the
-divisor's other rows is owed, still packed, to later rows.  The quotient is
-decoded once; a check on its bits proves that no slot overflowed, and when it
-fails the division is retried once at a slot size that holds every exact
+Two packed primitives do the arithmetic: ``_mul_packed`` sums the row
+products of two lists of packed rows, one int per output row, and
+``_divide_packed`` divides a packed dividend by packed divisor rows, one
+``divmod`` per quotient row, e1 ascending, each quotient row times the
+divisor's other rows owed, still packed, to later rows.  Each operation packs,
+calls a primitive and decodes once, with its own slot size.  ``*`` and ``**``
+(through ``_product``) size a slot for the largest sum it can receive: the
+bits of the largest factors, plus the bits of the number of products summed,
+plus a sign bit, rounded up to bytes.  ``div_exact`` (through ``_divide``)
+checks the bits of the decoded quotient to prove that no slot overflowed, and
+when the check fails retries once at a slot size that holds every exact
 quotient (a Mignotte bound), so every call ends after at most two sizes.  The
 quotient's exponents lie in the box min(dividend) - min(divisor) ..
 max(dividend) - max(divisor), and a non-exact division raises
-``NonExactDivisionError``.  Maps the package built canonical itself skip
-``__init__``'s checks through the one trusted constructor,
-``LaurentPoly2._canonical``.
+``NonExactDivisionError``.
+
+``_exchange(prev, cur, r)`` is one recursion step, (cur**r + 1) / prev.  The
+products of ``cur**r`` below the last keep their own slot sizes; the last
+product, the ``+ 1`` and the division run at one size fixed before the step,
+from a bound that needs no positivity: no coefficient of cur**k, k <= r,
+exceeds ||cur||_1^(r-1) * max|cur|, and ``div_exact``'s first size adds
+bits(#prev) + 2.  So cur**r + 1 is packed once and never decoded, and the
+quotient keeps every safeguard of ``div_exact``.  Maps the package built
+canonical itself skip ``__init__``'s checks through the one trusted
+constructor, ``LaurentPoly2._canonical``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
-from typing import Mapping, Union
+from math import comb, gcd
+from typing import Callable, Mapping, Union
 
 from .errors import NonExactDivisionError, PoleError
 
@@ -50,6 +61,8 @@ Exponents = tuple[int, int]
 Scalar = Union[int, "LaurentPoly2"]
 # Working form of the ring operations: {e1: {e2: coeff}}.
 Rows = dict[int, dict[int, int]]
+# Packed rows: (e1, slots from a base key to the row's lowest key, packed row).
+Packed = list[tuple[int, int, int]]
 
 RENDER_FORMATS = ("plain", "latex", "json")
 
@@ -198,7 +211,9 @@ class LaurentPoly2:
 
     def __mul__(self, other: Scalar) -> "LaurentPoly2":
         other = self._coerce(other)
-        return _from_rows(_add_product({}, _to_rows(self._terms), _to_rows(other._terms)))
+        if not (self and other):
+            return LaurentPoly2.zero()
+        return _from_rows(_product(_to_rows(self._terms), _to_rows(other._terms)))
 
     __rmul__ = __mul__
 
@@ -207,23 +222,17 @@ class LaurentPoly2:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
         if k == 0:
             return LaurentPoly2.one()
-        base = _to_rows(self._terms)
-        result = None
-        while True:
-            if k & 1:
-                result = base if result is None else _add_product({}, result, base)
-            k >>= 1
-            if not k:
-                return _from_rows(result)
-            base = _add_product({}, base, base)
+        if k == 1 or not self:
+            return self
+        return _from_rows(_product(*_last_factors(_to_rows(self._terms), k)))
 
     def div_exact(self, divisor: Scalar) -> "LaurentPoly2":
         """Exact division: return t with t * divisor == self; ints coerce as for ``*``.
 
         The extreme exponents of a product are the sums of its factors', so
         an exact quotient lies in the box min(self) - min(divisor) <= (e1, e2)
-        <= max(self) - max(divisor), componentwise.  An empty box raises at
-        once.
+        <= max(self) - max(divisor), componentwise.  An empty box raises
+        before any division.
 
         Packing a row at x2 = 2^(8*size) maps Z[x2^±1] into Z as a ring
         homomorphism, so the division becomes one in x1 with big-int
@@ -262,80 +271,16 @@ class LaurentPoly2:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly2.zero()
-
         num = _to_rows(self._terms)
         den = _to_rows(divisor._terms)
         g = _stride(num, den)
-        num_lo1, num_lo2 = min(num), min(map(min, num.values()))
-        den_lo1, den_lo2 = min(den), min(map(min, den.values()))
-        first1 = num_lo1 - den_lo1
-        last1 = max(num) - max(den)
-        first2 = num_lo2 - den_lo2
-        last2 = max(map(max, num.values())) - max(map(max, den.values()))
-        if first1 > last1 or first2 > last2:
-            raise NonExactDivisionError("divisor spans more exponents than the dividend")
-        # Quotient bits: first as many as leave room for bits(max|self|) + 1,
-        # enough when the product does not cancel at its largest coefficient,
-        # then the bound on every exact quotient.  A slot also holds every
-        # coefficient of either operand.
-        num_bits = _coeff_bits(num)
-        den_bits = _coeff_bits(den)
-        proven = (last1 - first1 + (last2 - first2) // g
-                  + num_bits + (len(self).bit_length() + 1) // 2)
-        sizes = [-(-(bits + den_bits + len(divisor).bit_length() + 1) // 8)
-                 for bits in (max(num_bits + 1 - den_bits, 1), proven)]
-        lead_row = den.pop(den_lo1)
-        lead2 = min(lead_row)
-        twos = _trailing_zeros(lead_row[lead2])
-        # Term by term, the remainder leaves the box unless a coefficient fails
-        # to divide by the lead, which needs |lead| > 1.
-        if abs(lead_row[lead2]) == 1:
-            inexact = "remainder term outside the quotient box"
-        else:
-            inexact = "coefficient not divisible over Z"
+        lo2 = min(map(min, num.values()))
 
-        for size in dict.fromkeys(sizes):
-            slot = 8 * size
-            rows = [0] * (max(num) - num_lo1 + 1)
-            for e1, row in num.items():
-                lo, value = _pack(row, g, size)
-                rows[e1 - num_lo1] = value << (lo - num_lo2) // g * slot
-            # Divisor rows stay packed from their own lowest key, with the
-            # shift that moves them to den_lo2, so that products stay short.
-            others = []
-            for d1, row in den.items():
-                lo, value = _pack(row, g, size)
-                others.append((d1 - den_lo1, (lo - den_lo2) // g * slot, value))
-            # The lowest divisor row is an odd int shifted up by lead_zeros
-            # bits, of which the first box_zeros are its empty low slots.
-            box_zeros = (lead2 - den_lo2) // g * slot
-            lead_zeros = box_zeros + twos
-            lead = _pack(lead_row, g, size)[1] >> twos
-            packed = {}
-            for i in range(last1 - first1 + 1):
-                rest = rows[i]
-                if not rest:
-                    continue
-                zeros = _trailing_zeros(rest)
-                if zeros < box_zeros:
-                    raise NonExactDivisionError("remainder term outside the quotient box")
-                q, rest = divmod(rest >> zeros, lead)
-                if rest or zeros < lead_zeros:
-                    raise NonExactDivisionError(inexact)
-                zeros -= lead_zeros
-                packed[first1 + i] = q << zeros
-                for d, shift, value in others:
-                    rows[i + d] -= (q * value) << (zeros + shift)
-            if any(rows[last1 - first1 + 1:]):
-                raise NonExactDivisionError("nonzero remainder above the quotient box")
-            quotient: Rows = {}
-            for e1, value in packed.items():
-                _add_unpacked(quotient.setdefault(e1, {}), value, size, first2, g)
-            width = (_coeff_bits(quotient) + den_bits + 1
-                     + min(sum(map(len, quotient.values())), len(divisor)).bit_length())
-            if width <= slot:
-                return _from_rows(quotient)
-        raise NonExactDivisionError(inexact)
+        def pack(size: int) -> tuple[dict[int, int], int]:
+            return {e1: value << at * 8 * size
+                    for e1, at, value in _pack_rows(num, g, size, lo2)}, lo2
+
+        return _divide(pack, den, g, _coeff_bits(num), len(self))
 
     # -- evaluation and symmetry --------------------------------------------
 
@@ -434,13 +379,16 @@ def _from_rows(rows: Rows) -> LaurentPoly2:
     })
 
 
+def _lattice(rows: Rows) -> tuple[int, int]:
+    """(lo, g): the e2 keys lie on lo + g*Z, lo the lowest, g the gcd of their
+    differences (0 for a single key)."""
+    lo = min(map(min, rows.values()))
+    return lo, gcd(*(e2 - lo for row in rows.values() for e2 in row))
+
+
 def _stride(*operands: Rows) -> int:
     """gcd of the e2 differences inside each operand: rows pack on lo + g*Z."""
-    g = 0
-    for rows in operands:
-        lo = min(map(min, rows.values()))
-        g = gcd(g, *(e2 - lo for row in rows.values() for e2 in row))
-    return g or 1
+    return gcd(*(_lattice(rows)[1] for rows in operands)) or 1
 
 
 def _trailing_zeros(value: int) -> int:
@@ -468,55 +416,234 @@ def _pack(row: dict[int, int], g: int, size: int) -> tuple[int, int]:
     return lo, value - int.from_bytes(neg, "little") if neg else value
 
 
-def _add_unpacked(row: dict[int, int], value: int, size: int, base: int, g: int) -> None:
-    """Add the signed slots of a packed int into ``row``; slot i is key base + g*i.
+def _pack_rows(rows: Rows, g: int, size: int, base: int) -> Packed:
+    """Each row as (e1, slots from ``base`` to its lowest key, row packed from that key)."""
+    packed = []
+    for e1, row in rows.items():
+        lo, value = _pack(row, g, size)
+        packed.append((e1, (lo - base) // g, value))
+    return packed
+
+
+def _unpack(value: int, size: int, base: int, g: int) -> dict[int, int]:
+    """The nonzero signed slots of a packed int as a row; slot i is key base + g*i.
 
     A slot reads as a signed ``size``-byte value plus the borrow that the
     slots below leave when their sum is negative.
     """
     end = (value.bit_length() // (8 * size) + 1) * size
     data = value.to_bytes(end, "little", signed=True)
+    row = {}
     borrow = 0
     key = base
-    get = row.get
     for coeff in [int.from_bytes(data[at:at + size], "little", signed=True)
                   for at in range(0, end, size)]:
         coeff += borrow
         if coeff:
             borrow = coeff < 0
-            row[key] = get(key, 0) + coeff
+            row[key] = coeff
         key += g
+    return row
 
 
-def _add_product(out: Rows, a: Rows, b: Rows) -> Rows:
-    """Add the product of two row maps into ``out`` and return it.
+def _mul_packed(a: Packed, b: Packed, slot: int) -> dict[int, int]:
+    """Multiply packed rows (``_pack_rows``): {e1: int}, slot 0 at the sum of the bases.
 
-    A slot has bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 1 bits,
-    rounded up to bytes: an output coefficient sums at most one product per
-    term of the smaller operand, and the last bit is the sign.  Row products
-    are summed packed, one int per output row, and decoded once.  A square
-    (``a is b``) takes each pair of distinct rows once, doubled.  No row is
-    empty.
+    Row products are summed packed, one int per output row; each is shifted
+    by the slots its two factors sit above their bases.  A square (``a is
+    b``) takes each pair of distinct rows once, doubled.
     """
-    if not a or not b:
-        return out
     square = a is b
-    g = _stride(a) if square else _stride(a, b)
-    width = (_coeff_bits(a) + _coeff_bits(b) + 1
-             + min(sum(map(len, a.values())), sum(map(len, b.values()))).bit_length())
-    size = -(-width // 8)
-    packed_a = [(a1, *_pack(row, g, size)) for a1, row in a.items()]
-    packed_b = packed_a if square else [(b1, *_pack(row, g, size)) for b1, row in b.items()]
-    lo_a = min(lo for _, lo, _ in packed_a)
-    lo_b = min(lo for _, lo, _ in packed_b)
     acc: dict[int, int] = {}
-    for i, (a1, la, va) in enumerate(packed_a):
-        for b1, lb, vb in packed_b[i:] if square else packed_b:
-            at = (la - lo_a + lb - lo_b) // g * 8 * size
+    for i, (a1, sa, va) in enumerate(a):
+        for b1, sb, vb in a[i:] if square else b:
+            at = (sa + sb) * slot
             if square and b1 != a1:
                 at += 1
             acc[a1 + b1] = acc.get(a1 + b1, 0) + (va * vb << at)
-    for e1, value in acc.items():
-        if value:
-            _add_unpacked(out.setdefault(e1, {}), value, size, lo_a + lo_b, g)
-    return out
+    return acc
+
+
+def _product(a: Rows, b: Rows) -> Rows:
+    """The product of two nonempty row maps; a square (``a is b``) packs once.
+
+    A slot has bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 1 bits,
+    rounded up to bytes: an output coefficient sums at most one product per
+    term of the smaller operand, and the last bit is the sign.
+    """
+    g = _stride(a) if a is b else _stride(a, b)
+    width = (_coeff_bits(a) + _coeff_bits(b) + 1
+             + min(sum(map(len, a.values())), sum(map(len, b.values()))).bit_length())
+    size = -(-width // 8)
+    lo_a = min(map(min, a.values()))
+    lo_b = min(map(min, b.values()))
+    packed_a = _pack_rows(a, g, size, lo_a)
+    packed_b = packed_a if a is b else _pack_rows(b, g, size, lo_b)
+    return {e1: _unpack(value, size, lo_a + lo_b, g)
+            for e1, value in _mul_packed(packed_a, packed_b, 8 * size).items() if value}
+
+
+def _last_factors(base: Rows, k: int) -> tuple[Rows, Rows]:
+    """The two factors of the last product of ``base**k`` by square and multiply, k >= 2.
+
+    Every earlier product is made by ``_product``; a last square returns
+    ``base`` twice, the same object.
+    """
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else _product(result, base)
+        k >>= 1
+        if k == 1:
+            return (base, base) if result is None else (result, _product(base, base))
+        base = _product(base, base)
+
+
+def _divide_packed(rows: list[int], count: int, lead: int, box_zeros: int, lead_zeros: int,
+                   others: list[tuple[int, int, int]], inexact: str) -> list[int]:
+    """Divide a packed dividend by packed divisor rows: ``count`` quotient rows, e1 ascending.
+
+    ``rows[i]`` is the dividend row that quotient row i divides; the call
+    uses the list up.  ``lead`` is the divisor's lowest row without its
+    ``lead_zeros`` low zero bits, of which the first ``box_zeros`` are empty
+    slots.  ``others`` holds each other divisor row as (rows above the
+    lowest, shift in bits, packed value); a quotient row times each of them
+    is owed, packed, to a later row.
+    """
+    quotient = [0] * count
+    for i in range(count):
+        rest = rows[i]
+        if not rest:
+            continue
+        zeros = _trailing_zeros(rest)
+        if zeros < box_zeros:
+            raise NonExactDivisionError("remainder term outside the quotient box")
+        q, rest = divmod(rest >> zeros, lead)
+        if rest or zeros < lead_zeros:
+            raise NonExactDivisionError(inexact)
+        zeros -= lead_zeros
+        quotient[i] = q << zeros
+        for d, shift, value in others:
+            rows[i + d] -= (q * value) << (zeros + shift)
+    if any(rows[count:]):
+        raise NonExactDivisionError("nonzero remainder above the quotient box")
+    return quotient
+
+
+def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: Rows, g: int,
+            num_bits: int, num_terms: int) -> LaurentPoly2:
+    """The exact quotient of a dividend by ``den`` in at most two slot sizes (see ``div_exact``).
+
+    ``pack(size)`` returns ({e1: packed row}, base), the dividend at ``size``
+    bytes a slot with slot j of a row the coefficient of base + g*j.  No
+    coefficient of the dividend needs more than ``num_bits`` bits, and it has
+    at most ``num_terms`` terms.  A slot holds each coefficient with bits to
+    spare, so the dividend's box reads off its packed rows: a row's lowest
+    nonzero slot is its trailing zero count over the slot width, and its
+    highest is its bit length over that width.
+    """
+    den_lo1, den_hi1 = min(den), max(den)
+    den_lo2 = min(map(min, den.values()))
+    den_hi2 = max(map(max, den.values()))
+    den_bits = _coeff_bits(den)
+    den_terms = sum(map(len, den.values()))
+    lead_coeff = den[den_lo1][min(den[den_lo1])]
+    twos = _trailing_zeros(lead_coeff)
+    # Term by term, the remainder leaves the box unless a coefficient fails
+    # to divide by the lead, which needs |lead| > 1.
+    if abs(lead_coeff) == 1:
+        inexact = "remainder term outside the quotient box"
+    else:
+        inexact = "coefficient not divisible over Z"
+
+    def slot_size(quotient_bits: int) -> int:
+        # A slot also holds every coefficient of either operand.
+        return -(-(quotient_bits + den_bits + den_terms.bit_length() + 1) // 8)
+
+    # Quotient bits: first as many as leave room for bits(max|dividend|) + 1,
+    # enough when the product does not cancel at its largest coefficient.
+    size = slot_size(max(num_bits + 1 - den_bits, 1))
+    acc, base = pack(size)
+    live = [e1 for e1, value in acc.items() if value]
+    if not live:
+        return LaurentPoly2.zero()
+    slot = 8 * size
+    low = min(_trailing_zeros(acc[e1]) for e1 in live) // slot
+    high = max(acc[e1].bit_length() for e1 in live) // slot
+    lo1, hi1 = min(live), max(live)
+    first1, last1 = lo1 - den_lo1, hi1 - den_hi1
+    first2, last2 = base + low * g - den_lo2, base + high * g - den_hi2
+    if first1 > last1 or first2 > last2:
+        raise NonExactDivisionError("divisor spans more exponents than the dividend")
+    # Then the bound on every exact quotient.
+    proven = slot_size(last1 - first1 + (last2 - first2) // g
+                       + num_bits + (num_terms.bit_length() + 1) // 2)
+    while True:
+        slot = 8 * size
+        rows = [acc.pop(e1, 0) >> low * slot for e1 in range(lo1, hi1 + 1)]
+        # Divisor rows stay packed from their own lowest key, with the shift
+        # that moves them to den_lo2, so that products stay short.
+        others = []
+        for d1, at, value in _pack_rows(den, g, size, den_lo2):
+            if d1 == den_lo1:
+                lead, box_zeros = value >> twos, at * slot
+            else:
+                others.append((d1 - den_lo1, at * slot, value))
+        packed = _divide_packed(rows, last1 - first1 + 1, lead, box_zeros, box_zeros + twos,
+                                others, inexact)
+        quotient = {e1: _unpack(value, size, first2, g)
+                    for e1, value in enumerate(packed, first1) if value}
+        width = (_coeff_bits(quotient) + den_bits + 1
+                 + min(sum(map(len, quotient.values())), den_terms).bit_length())
+        if width <= slot:
+            return _from_rows(quotient)
+        if size == proven:
+            raise NonExactDivisionError(inexact)
+        size = proven
+        acc = pack(size)[0]
+
+
+def _exchange(prev: LaurentPoly2, cur: LaurentPoly2, r: int) -> LaurentPoly2:
+    """One recursion step, ``(cur**r + 1).div_exact(prev)`` for r >= 1, with
+    cur**r + 1 packed once.
+
+    The products of ``cur**r`` below the last are made as ``**`` makes them.
+    The last product (cur times 1 when r = 1), the ``+ 1`` and the division
+    run on packed rows at one slot size, and cur**r + 1 is never decoded.
+    ``_divide`` sizes the slots as for ``div_exact``, from two bounds that
+    hold whatever the signs: no coefficient of cur**k, k <= r, exceeds
+    ||cur||_1^(r-1) * max|cur|, and cur**r has at most C(#cur + r - 1, r)
+    terms, one per multiset of r terms of cur.  A retry packs the last
+    product again.
+
+    The stride is the gcd of cur's, r times cur's lowest e2, and prev's:
+    ``div_exact``'s stride when the support of cur**r fills its lattice, as
+    in the recursion, whose coefficients are positive, and a divisor of it
+    otherwise.
+    """
+    if prev.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if cur.is_zero():
+        return LaurentPoly2.one().div_exact(prev)
+    rows = _to_rows(cur._terms)
+    den = _to_rows(prev._terms)
+    lo_cur, g_cur = _lattice(rows)
+    g = gcd(g_cur, r * lo_cur, _lattice(den)[1]) or 1
+    a, b = _last_factors(rows, r) if r > 1 else (rows, {0: {0: 1}})
+    lo_a = min(map(min, a.values()))
+    lo_b = min(map(min, b.values()))
+    base = min(lo_a + lo_b, 0)
+    coeffs = [abs(coeff) for coeff in cur._terms.values()]
+    bound = sum(coeffs) ** (r - 1) * max(coeffs) + 1
+
+    def pack(size: int) -> tuple[dict[int, int], int]:
+        slot = 8 * size
+        packed_a = _pack_rows(a, g, size, lo_a)
+        packed_b = packed_a if a is b else _pack_rows(b, g, size, lo_b)
+        acc = _mul_packed(packed_a, packed_b, slot)
+        if up := (lo_a + lo_b - base) // g * slot:
+            acc = {e1: value << up for e1, value in acc.items()}
+        acc[0] = acc.get(0, 0) + (1 << -base // g * slot)
+        return acc, base
+
+    return _divide(pack, den, g, bound.bit_length(), comb(len(cur) + r - 1, r) + 1)

@@ -35,6 +35,15 @@ def describe_overlay(overlay: ColoredSubpath) -> str:
     return f"overlay alpha({overlay.i},{overlay.k}): {overlay.color.value}{params} {span}{window}"
 
 
+def check_ascii_grid(width: int, height: int) -> None:
+    """Raise ``GridSizeError`` when the character grid of a ``width`` x
+    ``height`` box would exceed ``caps.MAX_ASCII_CELLS``."""
+    cells = (2 * width + 1) * (2 * height + 1)
+    if cells > MAX_ASCII_CELLS:
+        raise GridSizeError(f"the ASCII picture needs {cells} grid cells, over the cap of "
+                            f"{MAX_ASCII_CELLS}; use --svg or --tikz")
+
+
 def ascii_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
     """Character-grid picture.
 
@@ -44,10 +53,7 @@ def ascii_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
     the grid is built, when it would exceed ``caps.MAX_ASCII_CELLS``.
     """
     width, height = path.width, path.height
-    cells = (2 * width + 1) * (2 * height + 1)
-    if cells > MAX_ASCII_CELLS:
-        raise GridSizeError(f"the ASCII picture needs {cells} grid cells, over the cap of "
-                            f"{MAX_ASCII_CELLS}; use --svg or --tikz")
+    check_ascii_grid(width, height)
     rows = [[" "] * (2 * width + 1) for _ in range(2 * height + 1)]
 
     def put_point(x: int, y: int, ch: str) -> None:

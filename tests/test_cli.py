@@ -352,6 +352,20 @@ def test_path_refuses_a_long_path_before_building_it(capsys, time_limit, style):
                    f"over the cap of {MAX_PATH_SIZE}\n")
 
 
+@pytest.mark.parametrize("argv, cells", [
+    (["--r", "2", "--n", "100000000", "--max-exponent", "10000000000"], 599_999_985),
+    (["--r", "4", "--n", "10"], 92_626_461),
+])
+def test_path_refuses_an_ascii_grid_before_building_the_path(capsys, monkeypatch, argv, cells):
+    def start(*args, **kwargs):
+        raise AssertionError("build_path ran")
+
+    monkeypatch.setattr(cli, "build_path", start)
+    assert run(capsys, "path", *argv) == (
+        2, "", f"error: the ASCII picture needs {cells} grid cells, over the cap of "
+               f"{MAX_ASCII_CELLS}; use --svg or --tikz\n")
+
+
 def test_path_json_schema(capsys):
     code, out, _ = run(capsys, "path", "--r", "3", "--n", "5", "--json")
     assert code == 0

@@ -140,7 +140,7 @@ def test_cap_matrix_is_decided_from_d_n_before_any_work(monkeypatch):
         raise _Started
 
     monkeypatch.setattr(cluster, "build_path", start)
-    monkeypatch.setattr(LaurentPoly2, "div_exact", start)
+    monkeypatch.setattr(cluster, "_exchange", start)
     for r in range(2, 6):
         for index in range(-6, 9):
             n = _top(index)
@@ -348,21 +348,21 @@ def test_verify_range_sorted_rows():
     assert keys == sorted(keys)
 
 
-def _count_divisions(monkeypatch):
-    """Count ``div_exact`` calls, one per recursion step."""
+def _count_steps(monkeypatch):
+    """Count ``_exchange`` calls, one per recursion step."""
     calls = []
-    divide = LaurentPoly2.div_exact
+    step = cluster._exchange
 
-    def counting(self, divisor):
+    def counting(prev, cur, r):
         calls.append(1)
-        return divide(self, divisor)
+        return step(prev, cur, r)
 
-    monkeypatch.setattr(LaurentPoly2, "div_exact", counting)
+    monkeypatch.setattr(cluster, "_exchange", counting)
     return calls
 
 
 def test_verify_range_walks_each_step_once(monkeypatch):
-    calls = _count_divisions(monkeypatch)
+    calls = _count_steps(monkeypatch)
     rows = verify_range(2, 24)
     assert [row["n"] for row in rows] == list(range(4, 23))
     assert all(row["status"] == "pass" for row in rows)
@@ -371,7 +371,7 @@ def test_verify_range_walks_each_step_once(monkeypatch):
 
 
 def test_verify_range_opens_one_walk_up_and_one_down_per_r(monkeypatch):
-    calls = _count_divisions(monkeypatch)
+    calls = _count_steps(monkeypatch)
     opened = []
     walk = cluster._walk
 
@@ -392,7 +392,7 @@ def test_verify_range_opens_one_walk_up_and_one_down_per_r(monkeypatch):
     (3, 10, {"config_budget": 10**4}, {2: 8, 3: 5}),
 ])
 def test_verify_range_takes_no_step_for_a_skipped_cell(monkeypatch, r_max, sum_cap, caps, admitted):
-    calls = _count_divisions(monkeypatch)
+    calls = _count_steps(monkeypatch)
     rows = verify_range(r_max, sum_cap, **caps)
     for row in rows:
         expected = "pass" if row["n"] <= admitted[row["r"]] else "skipped"

@@ -1,12 +1,14 @@
 import json
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rank2cluster.errors import NonExactDivisionError, PoleError
 from rank2cluster import laurent
+from rank2cluster.cluster import _walk
 from rank2cluster.laurent import LaurentPoly2
 
 from oracles import EQ3_NUMERATOR_TERMS, reference_div_exact, reference_mul, reference_pow
@@ -431,3 +433,53 @@ def test_json_round_trip(p):
     terms = json.loads(p.render("json"))["terms"]
     assert all(term["c"] == str(int(term["c"])) for term in terms)
     assert LaurentPoly2({(term["e1"], term["e2"]): int(term["c"]) for term in terms}) == p
+
+
+# -- the recursion step ------------------------------------------------------
+
+_X3_R3 = (X2**3 + 1).div_exact(X1)
+
+
+@settings(deadline=None)
+@given(kernel_polys, kernel_polys, st.integers(min_value=1, max_value=5))
+# The constant cancels: the dividend's lowest e2 lies above the product's.
+@example(X2, X2 - 1, 1)
+# cur**3 + 1 is zero.
+@example(X1, -ONE, 3)
+# Recursion steps of r = 3, the second from x_3 and x_4.
+@example(X1, X2, 3)
+@example(_X3_R3, (_X3_R3**3 + 1).div_exact(X2), 3)
+def test_exchange_matches_pow_plus_one_div_exact(prev, cur, r):
+    try:
+        expected = (cur**r + 1).div_exact(prev)
+    except (NonExactDivisionError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            laurent._exchange(prev, cur, r)
+        assert str(raised.value) == str(exc)
+    else:
+        assert laurent._exchange(prev, cur, r) == expected
+
+
+def test_exchange_retries_when_the_quotient_outgrows_the_dividend(monkeypatch):
+    # r = 1: cur + 1 = (1 - x2^3)^40, whose coefficients need 38 bits, over
+    # (1 - x2)^40 leaves (1 + x2 + x2^2)^40, whose coefficients need 60.
+    prev, cur, quotient = (1 - X2) ** 40, (1 - X2**3) ** 40 - 1, (1 + X2 + X2**2) ** 40
+    sizes = set()
+    pack = laurent._pack
+
+    def spy(row, g, size):
+        sizes.add(size)
+        return pack(row, g, size)
+
+    monkeypatch.setattr(laurent, "_pack", spy)
+    assert laurent._exchange(prev, cur, 1) == quotient
+    assert len(sizes) == 2
+
+
+@pytest.mark.parametrize("r, steps", [(1, 6), (2, 5), (3, 4), (4, 4), (20, 3)])
+@pytest.mark.parametrize("downward", [False, True])
+def test_walk_matches_the_reference_recursion(r, steps, downward):
+    prev, cur = (X2, X1) if downward else (X1, X2)
+    for value in islice(_walk(r, downward), steps):
+        prev, cur = cur, reference_div_exact(reference_pow(cur, r) + 1, prev)
+        assert value == cur
