@@ -174,6 +174,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_path(args: argparse.Namespace) -> int:
+    if args.json and args.overlay is not None:
+        raise ValueError("--overlay does not apply to --json output")
     if args.n >= 3:
         # The box is d(n-1) - d(n-2) wide and d(n-2) high: d(n-1) edges.
         dims = dim_sequence(args.r, args.n - 1, max_exponent=args.max_exponent)
@@ -184,14 +186,13 @@ def _cmd_path(args: argparse.Namespace) -> int:
             raise GridSizeError(f"the path has {edges + height} edges and distinguished "
                                 f"vertices, over the cap of {MAX_PATH_SIZE}")
     path = build_path(args.r, args.n, max_exponent=args.max_exponent)
+    if args.json:
+        _emit(json.dumps(path.to_json_dict()) + "\n", args.out)
+        return EXIT_OK
     overlay = None
     if args.overlay is not None:
         overlay = classify(path, args.overlay[0], args.overlay[1])
-    if args.json:
-        if overlay is not None:
-            raise ValueError("--overlay does not apply to --json output")
-        _emit(json.dumps(path.to_json_dict()) + "\n", args.out)
-    elif args.svg:
+    if args.svg:
         _emit(render.svg_path(path, overlay), args.out)
     elif args.tikz:
         _emit(render.tikz_path(path, overlay), args.out)

@@ -38,14 +38,30 @@ max(dividend) - max(divisor), and a non-exact division raises
 ``NonExactDivisionError``.
 
 ``_exchange(prev, cur, r)`` is one recursion step, (cur**r + 1) / prev.  The
-products of ``cur**r`` below the last keep their own slot sizes; the last
-product, the ``+ 1`` and the division run at one size fixed before the step,
+power, the ``+ 1`` and the division run at one size fixed before the step,
 from a bound that needs no positivity: no coefficient of cur**k, k <= r,
 exceeds ||cur||_1^(r-1) * max|cur|, and ``div_exact``'s first size adds
 bits(#prev) + 2.  So cur**r + 1 is packed once and never decoded, and the
-quotient keeps every safeguard of ``div_exact``.  Maps the package built
-canonical itself skip ``__init__``'s checks through the one trusted
-constructor, ``LaurentPoly2._canonical``.
+quotient keeps every safeguard of ``div_exact``.  The power takes one of two
+paths, chosen from the rows of ``cur`` alone:
+
+- Miller's recurrence (``_miller``) when r >= 2, the top row (largest e1, t)
+  is one term c*x1^t*x2^a, and the rows below span J <= r steps of their e1
+  lattice (step s1, the gcd of the t - e1; J = (t - min e1)/s1).  With f_j
+  the row at t - j*s1 and g_i the power's row at r*t - i*s1,
+  i*f_0*g_i = sum_{j=1}^{min(i, J)} ((r+1)*j - i)*f_j*g_{i-j}: each row of
+  the power costs at most J products of packed rows.  Packing at
+  x2 = 2^slot is a ring homomorphism, so with every f_j packed from B, the
+  lowest e2 of cur, and g_i from r*B, each packed sum is i*c*2^p times
+  packed g_i exactly, p = (a - B)/g slots, at any slot size; the shift and
+  the division by i*c leave nothing.
+- Otherwise left-to-right square and multiply (``_last_factors``, shared
+  with ``**``): the products below the last keep their own slot sizes, and
+  the last one, a square for an even r and a product with cur for an odd
+  one, is summed packed.
+
+Maps the package built canonical itself skip ``__init__``'s checks through
+the one trusted constructor, ``LaurentPoly2._canonical``.
 """
 
 from __future__ import annotations
@@ -484,19 +500,46 @@ def _product(a: Rows, b: Rows) -> Rows:
 
 
 def _last_factors(base: Rows, k: int) -> tuple[Rows, Rows]:
-    """The two factors of the last product of ``base**k`` by square and multiply, k >= 2.
+    """The two factors of the last product of ``base**k`` by left-to-right
+    square and multiply, k >= 2: an even power ends in a square, returned as
+    one object twice, and an odd one in a product with ``base``.
 
-    Every earlier product is made by ``_product``; a last square returns
-    ``base`` twice, the same object.
+    Every earlier product is made by ``_product``.
     """
-    result = None
-    while True:
-        if k & 1:
-            result = base if result is None else _product(result, base)
-        k >>= 1
-        if k == 1:
-            return (base, base) if result is None else (result, _product(base, base))
-        base = _product(base, base)
+    result = base
+    for bit in bin(k)[3:-1]:
+        result = _product(result, result)
+        if bit == "1":
+            result = _product(result, base)
+    return (result, result) if k % 2 == 0 else (_product(result, result), base)
+
+
+def _miller(rows: Rows, r: int, g: int, step: int, size: int) -> dict[int, int]:
+    """``rows**r`` as {e1: packed row} from r times the lowest e2 of ``rows``,
+    by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), r >= 1.
+
+    The top row must be one term c*x2^a and the other rows lie on its e1
+    lattice of ``step``.  With f = x1^top * sum_j f_j*y^j in y = x1^-step,
+    the recurrence compares coefficients in f*(f^r)' = r*f'*f^r; the module
+    docstring gives it and why it is exact at any slot size.
+    """
+    slot = 8 * size
+    top = max(rows)
+    lo = min(map(min, rows.values()))
+    f = {(top - e1) // step: value << at * slot for e1, at, value in _pack_rows(rows, g, size, lo)}
+    (a, c), = rows[top].items()
+    shift = (a - lo) // g * slot
+    span = max(f)
+    powers = [c**r << r * shift]
+    for i in range(1, r * span + 1):
+        total = 0
+        for j in range(1, min(i, span) + 1):
+            if j in f:
+                total += ((r + 1) * j - i) * f[j] * powers[i - j]
+        value, rest = divmod(total >> shift, i * c)
+        assert not rest and not total & ((1 << shift) - 1), "inexact recurrence"
+        powers.append(value)
+    return {r * top - i * step: value for i, value in enumerate(powers) if value}
 
 
 def _divide_packed(rows: list[int], count: int, lead: int, box_zeros: int, lead_zeros: int,
@@ -607,14 +650,17 @@ def _exchange(prev: LaurentPoly2, cur: LaurentPoly2, r: int) -> LaurentPoly2:
     """One recursion step, ``(cur**r + 1).div_exact(prev)`` for r >= 1, with
     cur**r + 1 packed once.
 
-    The products of ``cur**r`` below the last are made as ``**`` makes them.
-    The last product (cur times 1 when r = 1), the ``+ 1`` and the division
-    run on packed rows at one slot size, and cur**r + 1 is never decoded.
+    For r >= 2, when the top row of ``cur`` is one term and the rows below it
+    span at most r steps of their e1 lattice, ``cur**r`` is made packed by
+    ``_miller``.  Otherwise the products of ``cur**r`` below the last are
+    made as ``**`` makes them, and the last product (cur times 1 when r = 1)
+    is summed packed.  Either way the power, the ``+ 1`` and the division run
+    on packed rows at one slot size, and cur**r + 1 is never decoded.
     ``_divide`` sizes the slots as for ``div_exact``, from two bounds that
     hold whatever the signs: no coefficient of cur**k, k <= r, exceeds
     ||cur||_1^(r-1) * max|cur|, and cur**r has at most C(#cur + r - 1, r)
-    terms, one per multiset of r terms of cur.  A retry packs the last
-    product again.
+    terms, one per multiset of r terms of cur.  A retry makes the packed
+    power again.
 
     The stride is the gcd of cur's, r times cur's lowest e2, and prev's:
     ``div_exact``'s stride when the support of cur**r fills its lattice, as
@@ -629,19 +675,30 @@ def _exchange(prev: LaurentPoly2, cur: LaurentPoly2, r: int) -> LaurentPoly2:
     den = _to_rows(prev._terms)
     lo_cur, g_cur = _lattice(rows)
     g = gcd(g_cur, r * lo_cur, _lattice(den)[1]) or 1
-    a, b = _last_factors(rows, r) if r > 1 else (rows, {0: {0: 1}})
-    lo_a = min(map(min, a.values()))
-    lo_b = min(map(min, b.values()))
-    base = min(lo_a + lo_b, 0)
+    # Every packed power starts at r * lo_cur or above, and the 1 at 0.
+    base = min(r * lo_cur, 0)
+    top = max(rows)
+    step = gcd(*(top - e1 for e1 in rows)) or 1
+    if r > 1 and len(rows[top]) == 1 and top - min(rows) <= r * step:
+        def power(size: int) -> tuple[dict[int, int], int]:
+            return _miller(rows, r, g, step, size), r * lo_cur
+    else:
+        a, b = _last_factors(rows, r) if r > 1 else (rows, {0: {0: 1}})
+        lo_a = min(map(min, a.values()))
+        lo_b = min(map(min, b.values()))
+
+        def power(size: int) -> tuple[dict[int, int], int]:
+            packed_a = _pack_rows(a, g, size, lo_a)
+            packed_b = packed_a if a is b else _pack_rows(b, g, size, lo_b)
+            return _mul_packed(packed_a, packed_b, 8 * size), lo_a + lo_b
+
     coeffs = [abs(coeff) for coeff in cur._terms.values()]
     bound = sum(coeffs) ** (r - 1) * max(coeffs) + 1
 
     def pack(size: int) -> tuple[dict[int, int], int]:
         slot = 8 * size
-        packed_a = _pack_rows(a, g, size, lo_a)
-        packed_b = packed_a if a is b else _pack_rows(b, g, size, lo_b)
-        acc = _mul_packed(packed_a, packed_b, slot)
-        if up := (lo_a + lo_b - base) // g * slot:
+        acc, lo = power(size)
+        if up := (lo - base) // g * slot:
             acc = {e1: value << up for e1, value in acc.items()}
         acc[0] = acc.get(0, 0) + (1 << -base // g * slot)
         return acc, base

@@ -366,6 +366,19 @@ def test_path_refuses_an_ascii_grid_before_building_the_path(capsys, monkeypatch
                f"{MAX_ASCII_CELLS}; use --svg or --tikz\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--r", "2", "--n", "1000000", "--max-exponent", "10000000"],
+    ["--r", "3", "--n", "5"],
+])
+def test_path_refuses_json_with_an_overlay_before_building_the_path(capsys, monkeypatch, argv):
+    def start(*args, **kwargs):
+        raise AssertionError("build_path ran")
+
+    monkeypatch.setattr(cli, "build_path", start)
+    assert run(capsys, "path", *argv, "--json", "--overlay", "0,1") == (
+        1, "", "error: --overlay does not apply to --json output\n")
+
+
 def test_path_json_schema(capsys):
     code, out, _ = run(capsys, "path", "--r", "3", "--n", "5", "--json")
     assert code == 0

@@ -377,12 +377,18 @@ def test_mul_matches_reference(p, q):
 
 
 @settings(deadline=None)
-@given(kernel_polys, st.integers(min_value=0, max_value=5))
-@example(_full_slots(7, 3, 1), 2)
-@example(_full_slots(8, 255, -1), 2)
-@example(_full_slots(8, 254, -1), 2)
-@example(_full_slots(300, 255, 1), 2)
-def test_pow_matches_reference(p, k):
+# Up to k = 5 the left-to-right and right-to-left square-and-multiply
+# schedules coincide; small polynomials reach the others (k = 6, 7, 11, 13).
+@given(st.one_of(st.tuples(kernel_polys, st.integers(min_value=0, max_value=5)),
+                 st.tuples(polys, st.integers(min_value=0, max_value=13))))
+@example((_full_slots(7, 3, 1), 2))
+@example((_full_slots(8, 255, -1), 2))
+@example((_full_slots(8, 254, -1), 2))
+@example((_full_slots(300, 255, 1), 2))
+@example((1 + X1 - 2 * X2, 13))
+@example((X1 - LaurentPoly2.monomial(-1, 1) + 3, 11))
+def test_pow_matches_reference(case):
+    p, k = case
     assert p**k == reference_pow(p, k)
 
 
@@ -440,8 +446,48 @@ def test_json_round_trip(p):
 _X3_R3 = (X2**3 + 1).div_exact(X1)
 
 
+@st.composite
+def _one_term_tops(draw):
+    """(cur, r) with cur's top row one term c*x1^t*x2^a and the rows below
+    spanning J <= r steps of their e1 lattice, so that the recursion step
+    powers cur by Miller's recurrence.  Rows may be missing from the lattice,
+    coefficients are signed, c need not be +-1, and a may lie above another
+    row's lowest e2."""
+    step, span = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    r = draw(st.integers(max(span, 2), 8))
+    top = draw(st.integers(-3, 3))
+    coeff = st.one_of(coefficients.filter(bool), st.sampled_from([2**70 + 1, -(2**70) - 3]))
+    terms = {(top, draw(st.integers(-6, 6))): draw(coeff)}
+    below = st.tuples(st.integers(1, span).map(lambda j: top - j * step), st.integers(-6, 6))
+    if span:
+        terms.update(draw(st.dictionaries(below, coeff, max_size=8)))
+    return LaurentPoly2(terms), r
+
+
+def _refuse(*args):
+    raise AssertionError("the other power path ran")
+
+
+def _check_exchange(prev, cur, r, power=pow):
+    try:
+        expected = (power(cur, r) + 1).div_exact(prev)
+    except (NonExactDivisionError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            laurent._exchange(prev, cur, r)
+        assert str(raised.value) == str(exc)
+    else:
+        assert laurent._exchange(prev, cur, r) == expected
+
+
+# One-term top rows (Miller's recurrence) over a monomial, so the quotient is
+# exact: top coefficient -3, signed rows below, the top term's e2 (4) above
+# the lowest (-1), and rows at j = 1 and 3 of the e1 lattice of step 2 with
+# j = 2 missing.
+_TOPPED = LaurentPoly2({(2, 4): -3, (0, -1): 2, (0, 3): -5, (-4, 2): 1})
+
+
 @settings(deadline=None)
-@given(kernel_polys, kernel_polys, st.integers(min_value=1, max_value=5))
+@given(kernel_polys, kernel_polys, st.integers(min_value=1, max_value=8))
 # The constant cancels: the dividend's lowest e2 lies above the product's.
 @example(X2, X2 - 1, 1)
 # cur**3 + 1 is zero.
@@ -449,15 +495,54 @@ _X3_R3 = (X2**3 + 1).div_exact(X1)
 # Recursion steps of r = 3, the second from x_3 and x_4.
 @example(X1, X2, 3)
 @example(_X3_R3, (_X3_R3**3 + 1).div_exact(X2), 3)
+# J = 3 <= r, and J = 3 > r = 2.
+@example(LaurentPoly2.monomial(1, -2), _TOPPED, 3)
+@example(LaurentPoly2.monomial(1, -2), _TOPPED, 8)
+@example(LaurentPoly2.monomial(1, -2), _TOPPED, 2)
+# A lone term, J = 0; and one term over a row with keys below and above its e2.
+@example(X2, -3 * X1 * X2**5, 4)
+@example(X1**3, LaurentPoly2({(1, 3): 7, (0, -2): -1, (0, 6): 4}), 2)
 def test_exchange_matches_pow_plus_one_div_exact(prev, cur, r):
-    try:
-        expected = (cur**r + 1).div_exact(prev)
-    except (NonExactDivisionError, ZeroDivisionError) as exc:
-        with pytest.raises(type(exc)) as raised:
-            laurent._exchange(prev, cur, r)
-        assert str(raised.value) == str(exc)
-    else:
-        assert laurent._exchange(prev, cur, r) == expected
+    _check_exchange(prev, cur, r)
+
+
+@settings(deadline=None)
+@given(_one_term_tops(), st.one_of(
+    st.builds(LaurentPoly2.monomial, exponents, exponents, st.sampled_from([1, -1])),
+    kernel_polys))
+def test_exchange_by_miller_matches_pow_plus_one_div_exact(case, prev):
+    cur, r = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "_last_factors", _refuse)
+        _check_exchange(prev, cur, r, reference_pow)
+
+
+@pytest.mark.parametrize("cur, r, unused", [
+    # _TOPPED spans J = 3 steps of its e1 lattice below its one-term top row.
+    (_TOPPED, 3, "_last_factors"), (_TOPPED, 2, "_miller"),
+    # J = 1, but the top row has two terms.
+    (X1 * (X2 + 1) + 1, 3, "_miller"),
+    (X1 * X2 + 1, 3, "_last_factors"),
+])
+def test_the_step_powers_by_miller_exactly_when_j_is_at_most_r(monkeypatch, cur, r, unused):
+    expected = reference_pow(cur, r) + 1
+    monkeypatch.setattr(laurent, unused, _refuse)
+    assert laurent._exchange(X1, cur, r) * X1 == expected
+
+
+@pytest.mark.parametrize("r, n, unused", [
+    (20, 5, "_last_factors"), (20, -2, "_last_factors"), (6, 6, "_last_factors"),
+    (5, 6, "_last_factors"), (3, 8, "_miller"), (4, 7, "_miller"), (2, 30, "_miller"),
+])
+def test_the_last_step_powers_by_miller_exactly_when_the_rule_holds(monkeypatch, r, n, unused):
+    # x_{n-1} has a one-term top row at every listed cell; the rows below
+    # span J <= r lattice steps where Miller's recurrence runs, and J > r
+    # where the binary path runs.
+    downward = n <= 0
+    start = [X2, X1] if downward else [X1, X2]
+    *_, prev, cur, last = start + list(islice(_walk(r, downward), (3 - n if downward else n) - 2))
+    monkeypatch.setattr(laurent, unused, _refuse)
+    assert laurent._exchange(prev, cur, r) == last
 
 
 def test_exchange_retries_when_the_quotient_outgrows_the_dividend(monkeypatch):
@@ -476,7 +561,8 @@ def test_exchange_retries_when_the_quotient_outgrows_the_dividend(monkeypatch):
     assert len(sizes) == 2
 
 
-@pytest.mark.parametrize("r, steps", [(1, 6), (2, 5), (3, 4), (4, 4), (20, 3)])
+@pytest.mark.parametrize("r, steps", [(1, 6), (2, 5), (3, 4), (4, 4), (5, 4), (6, 4), (7, 3),
+                                      (20, 3)])
 @pytest.mark.parametrize("downward", [False, True])
 def test_walk_matches_the_reference_recursion(r, steps, downward):
     prev, cur = (X2, X1) if downward else (X1, X2)
