@@ -27,7 +27,6 @@ from .dyck import (
     build_path,
     classify,
     dim_sequence,
-    slope_exceeds,
 )
 from .errors import (
     ConfigBudgetError,
@@ -67,6 +66,5 @@ __all__ = [
     "g_vector",
     "generating_poly",
     "oracle",
-    "slope_exceeds",
     "verify_range",
 ]

@@ -19,7 +19,8 @@ flag, else the default, and ``main`` checks both caps once.  At r = 1 the
 oracle walks at most five steps.  ``path --ascii`` refuses a character grid
 over ``caps.MAX_ASCII_CELLS`` with exit 2, and ``--json``, ``--svg`` and
 ``--tikz`` refuse a path whose d(n-1) edges and d(n-2) distinguished
-vertices number over ``caps.MAX_PATH_SIZE`` with exit 2, both before the
+vertices number over ``caps.MAX_PATH_SIZE`` with exit 2, and ``--overlay``
+refuses a pair outside 0 <= i < k <= d(n-2) with exit 1, all before the
 path is built.  ``verify`` prints a note to stderr when its sweep has no
 cell.
 """
@@ -34,7 +35,7 @@ from typing import Sequence
 
 from . import cluster, render
 from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT, MAX_PATH_SIZE
-from .dyck import build_path, classify, dim_sequence
+from .dyck import build_path, check_pair, classify, dim_sequence
 from .errors import ConfigBudgetError, ExponentOverflowError, GridSizeError
 
 EXIT_OK = 0
@@ -185,13 +186,13 @@ def _cmd_path(args: argparse.Namespace) -> int:
         elif edges + height > MAX_PATH_SIZE:
             raise GridSizeError(f"the path has {edges + height} edges and distinguished "
                                 f"vertices, over the cap of {MAX_PATH_SIZE}")
+        if args.overlay is not None:
+            check_pair(height, *args.overlay)
     path = build_path(args.r, args.n, max_exponent=args.max_exponent)
     if args.json:
         _emit(json.dumps(path.to_json_dict()) + "\n", args.out)
         return EXIT_OK
-    overlay = None
-    if args.overlay is not None:
-        overlay = classify(path, args.overlay[0], args.overlay[1])
+    overlay = None if args.overlay is None else classify(path, *args.overlay)
     if args.svg:
         _emit(render.svg_path(path, overlay), args.out)
     elif args.tikz:

@@ -41,12 +41,15 @@ oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .caps import DEFAULT_CONFIG_BUDGET
-from .dyck import Color, ColoredSubpath, DimSequence, DyckPath, _classify_with_first
-from .dyck import first_exceeding_by_vertex, green_table
+from .dyck import DimSequence, DyckPath, _classify_with_first, _turns
 from .errors import ConfigBudgetError
 from .laurent import LaurentPoly2
+
+if TYPE_CHECKING:
+    from .dyck import ColoredSubpath
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +61,9 @@ class PiecePool:
 
 def build_pool(path: DyckPath) -> PiecePool:
     """Classify every vertex pair i < k: exactly C(height+1, 2) colored subpaths."""
-    firsts, greens = first_exceeding_by_vertex(path), green_table(path)
+    turns = _turns(path)
     return PiecePool(colored=tuple(
-        _classify_with_first(path, greens, i, k, firsts[i])
+        _classify_with_first(path, i, k, turns.get(i))
         for i in range(path.height) for k in range(i + 1, path.height + 1)
     ))
 
@@ -106,15 +109,9 @@ def _subtract(
     return dest
 
 
-def _turns(path: DyckPath) -> dict[int, ColoredSubpath]:
-    """The element (i, t) for each v_i with a first exceeding vertex v_t: where blue stops."""
-    greens = green_table(path)
-    return {i: _classify_with_first(path, greens, i, t, t)
-            for i, t in enumerate(first_exceeding_by_vertex(path)) if t is not None}
-
-
 def _scan(
-    path: DyckPath, turns: dict[int, ColoredSubpath], width: int, step: int
+    path: DyckPath, turns: dict[int, tuple[int, tuple[int, int, int] | None]], width: int,
+    step: int,
 ) -> dict[int, int]:
     """Rows of the families of ``path``: y2^(weight1 * step) -> their polynomial in y1 at 2**width.
 
@@ -123,30 +120,29 @@ def _scan(
     edge: an element adds no power of y1, and edge p+1, free or a single
     edge, turns ``every = top + marker`` into ``top = (1 + y1)*every``.
 
-    ``turns[i]`` is the element (i, t) for the first vertex v_t whose slope
-    from v_i exceeds the diagonal: (i, k) is blue for k < t and has the
-    color and window of ``turns[i]`` from t on.  The families that reach v_k
-    through an element (i, k) are ``running``, a sum over the v_i in reach
-    of y2^(k-i) times a source: ``top`` at v_i for a blue element (no
+    ``turns = dyck._turns(path)`` maps v_i to (t, green) for the first v_t
+    whose slope from v_i exceeds the diagonal: (i, k) is blue for k < t and
+    from t on red if ``green`` is None, else green.  The families that reach
+    v_k through an element (i, k) are ``running``, a sum over the v_i in
+    reach of y2^(k-i) times a source: ``top`` at v_i for a blue element (no
     chain), ``every`` one edge before v_i for a red one, and for a green one
-    with an L-edge window ``top`` minus y1^L times ``every`` from the edge
-    before the window (the families whose covered edges all lie before the
-    window, padded with L free edges).  ``running`` moves up y2^step at each
-    vertex and takes ``changes[k]`` at v_k: the sources that come into reach
-    there and, negated, the blue ones that stop there, each already weighted
-    y2^(k-i).  Every term goes into ``changes`` at the edge where it is
-    known, the green correction at the edge before the window, so no sum is
-    kept for later.
+    with an L = green[2] edge window ``top`` minus y1^L times ``every`` from
+    the edge before the window (the families whose covered edges all lie
+    before the window, padded with L free edges).  ``running`` moves up
+    y2^step at each vertex and takes ``changes[k]`` at v_k: the sources that
+    come into reach there and, negated, the blue ones that stop there, each
+    already weighted y2^(k-i).  Every term goes into ``changes`` at the edge
+    where it is known, the green correction at the edge before the window,
+    so no sum is kept for later.
     """
     height, v_index = path.height, path.v_index
     vertex_at = {e: j for j, e in enumerate(v_index)}
     # The edge before each green window -> (t, weight1, shift) of the green correction.
     corrections: dict[int, list[tuple[int, int, int]]] = {}
-    for i, turn in turns.items():
-        if turn.color is Color.GREEN:
-            window = len(turn.window_edges())
-            corrections.setdefault(v_index[i] - window, []).append(
-                (turn.k, (turn.k - i) * step, window * width))
+    for i, (t, green) in turns.items():
+        if green is not None:
+            corrections.setdefault(v_index[i] - green[2], []).append(
+                (t, (t - i) * step, green[2] * width))
 
     top: dict[int, int] = {0: 1}
     marker: dict[int, int] = {}
@@ -157,17 +153,16 @@ def _scan(
         for t, weight, shift in corrections.get(p, ()):
             _subtract(changes.setdefault(t, {}), every, weight, shift)
         if (i := vertex_at.get(p)) is not None:
-            turn = turns.get(i)
-            t = height + 1 if turn is None else turn.k
+            t, green = turns.get(i, (height + 1, None))
             if i + 1 < t:
                 _accumulate(changes.setdefault(i + 1, {}), top, step)
-                if turn is not None:
+                if t <= height:
                     _subtract(changes.setdefault(t, {}), top, (t - i) * step)
-            if turn is not None and turn.color is Color.GREEN:
+            if green is not None:
                 _accumulate(changes.setdefault(t, {}), top, (t - i) * step)
         k = vertex_at.get(p + 1)
-        if (turn := turns.get(k)) is not None and turn.color is Color.RED:
-            _accumulate(changes.setdefault(turn.k, {}), every, (turn.k - k) * step)
+        if (turn := turns.get(k)) is not None and turn[1] is None:
+            _accumulate(changes.setdefault(turn[0], {}), every, (turn[0] - k) * step)
         top = _accumulate(dict(every), every, shift=width)
         marker = {}
         if k is not None:

@@ -11,9 +11,14 @@ Geometry conventions used throughout the package:
   origin; ``v_index[j]`` is the edge position of that north edge (0 for j=0).
   The y-coordinate of ``v_j`` is exactly j.
 
-All slope comparisons are exact integer cross-multiplications; no floating
+Classification reads one fact per vertex, t*: the first v_t whose slope
+from v_i exceeds the diagonal.  Let f(j) = j*width - x_j*height for
+v_j = (x_j, j), where x_j = v_index[j] - j.  That slope exceeds the
+diagonal iff f(t) > f(i), so t* is the next strictly greater f, found for
+every i by one monotone stack in O(height).  f is an exact int: no floating
 point is used anywhere, since near-diagonal slopes would misclassify under
-rounding for large rectangles.
+rounding for large rectangles.  ``_turns`` pairs each t* with its color,
+and every classifier reads that one table.
 """
 
 from __future__ import annotations
@@ -183,27 +188,6 @@ def build_path(r: int, n: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dyck
     return path
 
 
-def slope_exceeds(path: DyckPath, a: int, b: int) -> bool:
-    """True iff the slope of the segment v_a -> v_b exceeds the diagonal slope.
-
-    Decided by cross-multiplication (dy*width vs dx*height); vertical segments
-    (dx == 0) compare as infinitely steep.
-    """
-    if not 0 <= a < b <= path.height:
-        raise ValueError(f"need 0 <= a < b <= {path.height}, got a={a}, b={b}")
-    xa, ya = path.vertex(a)
-    xb, yb = path.vertex(b)
-    return (yb - ya) * path.width > (xb - xa) * path.height
-
-
-def _first_exceeding(path: DyckPath, i: int, upper: int) -> int | None:
-    """Smallest t with i < t <= upper whose slope from v_i exceeds the diagonal."""
-    for t in range(i + 1, upper + 1):
-        if slope_exceeds(path, i, t):
-            return t
-    return None
-
-
 def green_table(path: DyckPath) -> dict[int, tuple[int, int, int]]:
     """The paper's green condition: each distance d(m) - w*d(m-1) -> (m, w, window edges).
 
@@ -222,40 +206,61 @@ def green_table(path: DyckPath) -> dict[int, tuple[int, int, int]]:
     }
 
 
-def _classify_with_first(path: DyckPath, greens: dict[int, tuple[int, int, int]], i: int, k: int,
-                         t_star: int | None) -> ColoredSubpath:
-    """Classify (v_i, v_k) from ``greens = green_table(path)`` and v_i's first exceeding t*."""
+def first_exceeding_by_vertex(path: DyckPath) -> tuple[int | None, ...]:
+    """For each i < height, t*: the first t > i with f(t) > f(i), by one stack."""
+    width, height = path.width, path.height
+    firsts: list[int | None] = [None] * (height + 1)
+    waiting: list[tuple[int, int]] = []  # (f(j), j) with no greater f yet; f falls upward
+    for j, position in enumerate(path.v_index):
+        f = j * width - (position - j) * height
+        while waiting and waiting[-1][0] < f:
+            firsts[waiting.pop()[1]] = j
+        waiting.append((f, j))
+    return tuple(firsts[:height])
+
+
+def _turns(path: DyckPath) -> dict[int, tuple[int, tuple[int, int, int] | None]]:
+    """Each v_i with a t* -> (t*, its ``green_table`` entry, or None for red)."""
+    greens, v_index = green_table(path), path.v_index
+    turns = {}
+    for i, t in enumerate(first_exceeding_by_vertex(path)):
+        if t is not None:
+            # A slope from v_0 can never exceed the diagonal (every vertex lies
+            # on or below it), so i >= 1 and the predecessor of v_i exists.
+            assert i >= 1, "a turn at i=0 contradicts the on-or-below invariant"
+            if (green := greens.get(t - i)) is not None and green[2] > (start := v_index[i]):
+                raise AssertionError(f"green window underflows the path start: "
+                                     f"{(start - green[2] + 1, start)} at (i={i}, t={t})")
+            turns[i] = (t, green)
+    return turns
+
+
+def check_pair(height: int, i: int, k: int) -> None:
+    """Raise ``ValueError`` unless 0 <= i < k <= height."""
+    if not 0 <= i < k <= height:
+        raise ValueError(f"need 0 <= i < k <= {height}, got i={i}, k={k}")
+
+
+def _classify_with_first(path: DyckPath, i: int, k: int,
+                         turn: tuple[int, tuple[int, int, int] | None] | None) -> ColoredSubpath:
+    """Classify (v_i, v_k) from ``_turns(path).get(i)``."""
     start, end = path.v_index[i], path.v_index[k]
-    if t_star is None or t_star > k:  # the one blue rule: no slope up to v_k exceeds
+    if turn is None or turn[0] > k:  # the one blue rule: no slope up to v_k exceeds
         return ColoredSubpath(i=i, k=k, color=Color.BLUE, edge_span=(start + 1, end))
-    # A slope from v_0 can never exceed the diagonal (every vertex lies on or
-    # below it), so non-blue classifications always have i >= 1 and the
-    # immediate predecessor of v_i exists.
-    assert i >= 1, "non-blue classification at i=0 contradicts the on-or-below invariant"
-    if (green := greens.get(t_star - i)) is None:
+    if (green := turn[1]) is None:
         return ColoredSubpath(i=i, k=k, color=Color.RED, edge_span=(start, end))
     m, w, length = green
-    window = (start - length + 1, start)
-    if window[0] < 1:
-        raise AssertionError(f"green window underflows the path start: {window} at (i={i}, k={k})")
     return ColoredSubpath(i=i, k=k, color=Color.GREEN, edge_span=(start + 1, end),
-                          green_m=m, green_w=w, window=window)
+                          green_m=m, green_w=w, window=(start - length + 1, start))
 
 
 def classify(path: DyckPath, i: int, k: int) -> ColoredSubpath:
     """Classify the subpath determined by (v_i, v_k) as blue, green, or red.
 
-    Blue: every slope v_i -> v_t for i < t <= k stays at or below the
-    diagonal.  Otherwise let t* be the first exceeding index; if t* - i is a
-    key of ``green_table(path)``, built once per call, the subpath is green
-    with that entry's (m, w) and a window of its edge count ending at v_i;
-    otherwise it is red and extends one edge backward.
+    Blue: no slope v_i -> v_t with i < t <= k exceeds the diagonal.
+    Otherwise, if t* - i is a key of ``green_table(path)``, the subpath is
+    green with that entry's (m, w) and a window of its edge count ending at
+    v_i; if not, it is red and extends one edge backward.
     """
-    if not 0 <= i < k <= path.height:
-        raise ValueError(f"need 0 <= i < k <= {path.height}, got i={i}, k={k}")
-    return _classify_with_first(path, green_table(path), i, k, _first_exceeding(path, i, k))
-
-
-def first_exceeding_by_vertex(path: DyckPath) -> tuple[int | None, ...]:
-    """For each i, the first t > i whose slope from v_i exceeds the diagonal."""
-    return tuple(_first_exceeding(path, i, path.height) for i in range(path.height))
+    check_pair(path.height, i, k)
+    return _classify_with_first(path, i, k, _turns(path).get(i))

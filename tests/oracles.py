@@ -5,12 +5,15 @@ implementation it checks: the Christoffel word comes from the arithmetic
 (mod-total) definition, reference F-polynomials are recovered from the
 recursion oracle's Laurent expansion by inverting the exponent bookkeeping,
 and the brute-force family stream applies the three family rules with its own
-edge and window masks instead of the aggregator's.  ``assert_no_late_greens``
-is a bug trap for the classifier that the package itself never calls, and
-``green_matches`` searches every green parameter pair to pin the classifier's
-one table per path, ``dyck.green_table``.  The ``reference_*`` functions are
-plain Laurent arithmetic on (e1, e2) tuple keys, with no row form and no
-quotient box, to check the package's ring kernel.
+edge and window masks instead of the aggregator's.  ``first_exceeding`` finds
+each vertex's first exceeding vertex by a slope search on the vertex
+coordinates, the reference for the package's one stack.
+``assert_no_late_greens`` is a bug trap for the classifier that the package
+itself never calls, and it reads that search.  ``green_matches`` searches
+every green parameter pair to pin the classifier's one table per path,
+``dyck.green_table``.  The ``reference_*`` functions are plain Laurent
+arithmetic on (e1, e2) tuple keys, with no row form and no quotient box, to
+check the package's ring kernel.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from typing import Iterable, Iterator
 
 from rank2cluster.cluster import oracle
 from rank2cluster.combinat import build_pool
-from rank2cluster.dyck import (
-    Color, ColoredSubpath, DyckPath, dim_sequence, first_exceeding_by_vertex
-)
+from rank2cluster.dyck import Color, ColoredSubpath, DyckPath, dim_sequence
 from rank2cluster.errors import NonExactDivisionError, Rank2ClusterError
 from rank2cluster.laurent import LaurentPoly2
 
@@ -159,6 +160,25 @@ def bruteforce_poly(path: DyckPath, edge_cap: int = DEFAULT_BRUTEFORCE_EDGE_CAP)
     return LaurentPoly2(acc)
 
 
+def slope_exceeds(path: DyckPath, a: int, b: int) -> bool:
+    """True iff the slope of the segment v_a -> v_b exceeds the diagonal slope.
+
+    Decided by cross-multiplication (dy*width vs dx*height) on the vertex
+    coordinates; vertical segments (dx == 0) compare as infinitely steep.
+    """
+    if not 0 <= a < b <= path.height:
+        raise ValueError(f"need 0 <= a < b <= {path.height}, got a={a}, b={b}")
+    xa, ya = path.vertex(a)
+    xb, yb = path.vertex(b)
+    return (yb - ya) * path.width > (xb - xa) * path.height
+
+
+def first_exceeding(path: DyckPath) -> tuple[int | None, ...]:
+    """For each i < height, the smallest t > i with ``slope_exceeds(path, i, t)``, or None."""
+    return tuple(next((t for t in range(i + 1, path.height + 1) if slope_exceeds(path, i, t)), None)
+                 for i in range(path.height))
+
+
 def assert_no_late_greens(path: DyckPath) -> None:
     """Check that no classification would require a green level m >= n-1.
 
@@ -171,7 +191,7 @@ def assert_no_late_greens(path: DyckPath) -> None:
         return
     distances = {
         t_star - i
-        for i, t_star in enumerate(first_exceeding_by_vertex(path))
+        for i, t_star in enumerate(first_exceeding(path))
         if t_star is not None
     }
     if not distances:

@@ -23,12 +23,12 @@ from rank2cluster.cluster import (
     verify_range,
 )
 from rank2cluster.combinat import build_pool, generating_poly
-from rank2cluster.dyck import Color, build_path, dim_sequence, first_exceeding_by_vertex
+from rank2cluster.dyck import Color, build_path, dim_sequence
 from rank2cluster.laurent import LaurentPoly2
 
 from oracles import (
-    X5_R3_TERMS, assert_no_late_greens, bruteforce_poly, family_count, green_matches,
-    lower_christoffel_word,
+    X5_R3_TERMS, assert_no_late_greens, bruteforce_poly, family_count, first_exceeding,
+    green_matches, lower_christoffel_word,
 )
 
 SWEEP_CELLS = [(r, n) for r in range(2, 7) for n in range(4, 9) if r + n <= 10]
@@ -184,7 +184,7 @@ def test_criterion_8_late_green_and_ambiguity_traps():
             # green subpath carries the one pair of its first-exceeding distance.
             matches = green_matches(r, n)
             assert all(len(pairs) == 1 for pairs in matches.values()), (r, n)
-            firsts = first_exceeding_by_vertex(path)
+            firsts = first_exceeding(path)
             pool = build_pool(path)
             assert len(pool.colored) == path.height * (path.height + 1) // 2
             for element in pool.colored:

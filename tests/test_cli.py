@@ -379,6 +379,21 @@ def test_path_refuses_json_with_an_overlay_before_building_the_path(capsys, monk
         1, "", "error: --overlay does not apply to --json output\n")
 
 
+@pytest.mark.parametrize(("argv", "pair"), [
+    (["--r", "2", "--n", "1000000", "--svg", "--max-exponent", "10000000", "--overlay", "3,3"],
+     "999997, got i=3, k=3"),
+    (["--r", "3", "--n", "5", "--overlay", "1,4"], "3, got i=1, k=4"),
+    (["--r", "3", "--n", "5", "--tikz", "--overlay", "2,1"], "3, got i=2, k=1"),
+    (["--r", "4", "--n", "6", "--svg", "--overlay=-1,2"], "15, got i=-1, k=2"),
+])
+def test_path_refuses_an_invalid_overlay_before_building_the_path(capsys, monkeypatch, argv, pair):
+    def start(*args, **kwargs):
+        raise AssertionError("build_path ran")
+
+    monkeypatch.setattr(cli, "build_path", start)
+    assert run(capsys, "path", *argv) == (1, "", f"error: need 0 <= i < k <= {pair}\n")
+
+
 def test_path_json_schema(capsys):
     code, out, _ = run(capsys, "path", "--r", "3", "--n", "5", "--json")
     assert code == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from rank2cluster import combinat
+from rank2cluster import combinat, dyck
 from rank2cluster.caps import DEFAULT_CONFIG_BUDGET
 from rank2cluster.combinat import build_pool, generating_poly
 from rank2cluster.dyck import Color, build_path, classify, dim_sequence
@@ -179,16 +179,22 @@ def test_generating_poly_matches_oracle_on_tall_cells(cell):
 @pytest.mark.parametrize("cell", [(2, 12), (3, 7), (4, 6), (5, 6), (7, 5)],
                          ids=lambda cell: "r{}_n{}".format(*cell))
 def test_turns_fix_the_color_of_every_later_pair(cell):
-    # The scan reads one element per vertex: (i, k) is blue before the turn
-    # (i, t) and has the turn's color and window from k = t on.
+    # The scan reads one turn (t, green) per vertex: (i, k) is blue before
+    # k = t, and from there red when green is None, else green with the
+    # green table entry's (m, w) and a window of its edge count ending at v_i.
     path = build_path(*cell)
-    turns = combinat._turns(path)
+    turns = dyck._turns(path)
     for c in build_pool(path).colored:
-        turn = turns.get(c.i)
-        if turn is None or c.k < turn.k:
+        t, green = turns.get(c.i, (path.height + 1, None))
+        if c.k < t:
             assert c.color is Color.BLUE
+        elif green is None:
+            assert (c.color, c.window) == (Color.RED, None)
         else:
-            assert (c.color, c.window) == (turn.color, turn.window)
+            m, w, length = green
+            start = path.v_index[c.i]
+            assert (c.color, c.green_m, c.green_w, c.window) == (
+                Color.GREEN, m, w, (start - length + 1, start))
 
 
 SLOT_CELLS = [(3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7)]
@@ -225,7 +231,7 @@ def test_plain_int_pass_counts_the_families(cell):
     # The width-0, step-0 pass evaluates the scan at y1 = y2 = 1: one int row.
     path = build_path(*cell)
     count = family_count(*cell)
-    assert combinat._scan(path, combinat._turns(path), 0, 0) == {0: count}
+    assert combinat._scan(path, dyck._turns(path), 0, 0) == {0: count}
     assert generating_poly(path).eval_at(1, 1) == count
 
 
@@ -251,7 +257,7 @@ def test_no_slot_exceeds_the_family_count(cell, monkeypatch):
 
     monkeypatch.setattr(combinat, "_accumulate", reading(combinat._accumulate))
     monkeypatch.setattr(combinat, "_subtract", reading(combinat._subtract))
-    total = record(combinat._scan(path, combinat._turns(path), width, 1))
+    total = record(combinat._scan(path, dyck._turns(path), width, 1))
     count = family_count(*cell)
     assert max(largest) <= count
     assert sum((packed >> e * width) & mask for packed in total.values()

@@ -6,12 +6,14 @@ from rank2cluster.dyck import (
     build_path,
     classify,
     dim_sequence,
+    first_exceeding_by_vertex,
     green_table,
-    slope_exceeds,
 )
 from rank2cluster.errors import ExponentOverflowError
 
-from oracles import assert_no_late_greens, green_matches, lower_christoffel_word
+from oracles import (
+    assert_no_late_greens, first_exceeding, green_matches, lower_christoffel_word, slope_exceeds
+)
 
 # (r, n) pairs small enough for exhaustive scans in unit tests.
 SMALL_CELLS = [(r, n) for r in range(2, 7) for n in range(4, 9) if r + n <= 10]
@@ -137,6 +139,24 @@ def test_slope_exceeds_validates_indices():
         slope_exceeds(path, 2, 2)
     with pytest.raises(ValueError):
         slope_exceeds(path, 0, 4)
+
+
+def _stack_cells():
+    # Every cell with r = 2..7 and height d(n-2) <= 400, then three taller ones.
+    for r in range(2, 8):
+        n = 3
+        while dim_sequence(r, n - 1).value(n - 2) <= 400:
+            yield r, n
+            n += 1
+    yield from ((3, 12), (4, 10), (2, 300_000))
+
+
+def test_first_exceeding_stack_matches_the_slope_search():
+    cells = list(_stack_cells())
+    assert len(cells) == 433
+    for cell in cells:
+        path = build_path(*cell, max_exponent=10**6)
+        assert first_exceeding_by_vertex(path) == first_exceeding(path), cell
 
 
 def test_classify_blue_spans_vertices():
