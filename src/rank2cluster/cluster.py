@@ -37,7 +37,7 @@ from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
 from .combinat import check_budget, generating_poly
 from .dyck import DimSequence, build_path, dim_sequence
 from .errors import ConfigBudgetError, ExponentOverflowError
-from .laurent import LaurentPoly2, _exchange
+from .laurent import LaurentPoly2, _Carried, _carry, _decode, _step
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,23 +89,27 @@ def _admit(r: int, index: int, max_exponent: int) -> DimSequence:
     return dim_sequence(r, max(index, 3 - index), max_exponent=max_exponent)
 
 
-def _walk(r: int, downward: bool) -> Iterator[LaurentPoly2]:
-    """x_3, x_4, ... (x_0, x_-1, ... when ``downward``), one recursion step per value.
+def _walk(r: int, downward: bool) -> Iterator[_Carried]:
+    """x_3, x_4, ... (x_0, x_-1, ... when ``downward``), one recursion step per
+    value, each carried packed (``laurent._Carried``; ``laurent._decode``
+    turns one into a polynomial).
 
     Holds only the last two values.  Downward, x_{m-1} = (x_m^r + 1) / x_{m+1}:
     the same recursion started from (x2, x1) instead of (x1, x2).  Each step
-    is ``laurent._exchange``, which packs x_m^r + 1 once.
+    is ``laurent._step``, which packs x_m^r + 1 once and hands its quotient
+    to the next step still packed, so no value is decoded inside the walk.
     """
-    prev, cur = LaurentPoly2.var1(), LaurentPoly2.var2()
+    prev, cur = _carry(LaurentPoly2.var1()), _carry(LaurentPoly2.var2())
     if downward:
         prev, cur = cur, prev
     while True:
-        prev, cur = cur, _exchange(prev, cur, r)
+        prev, cur = cur, _step(prev, cur, r)
         yield cur
 
 
 def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> LaurentPoly2:
-    """Exact Laurent expansion of x_index: step index - 2 (or 1 - index) of one ``_walk``.
+    """Exact Laurent expansion of x_index: step index - 2 (or 1 - index) of one
+    ``_walk``, the one value of the walk that is decoded.
 
     Works for any r >= 1 and any integer index, in both directions.  A
     non-exact division cannot happen (it would falsify the Laurent
@@ -125,9 +129,10 @@ def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Laur
         raise ExponentOverflowError(f"exponent magnitude 1 exceeds the cap {max_exponent} (r=1)")
     else:
         steps = (steps - 1) % 5 + 1 if steps else 0  # r = 1 is five-periodic
-    for value in islice(_walk(r, downward=index < 2), steps):
+    walked = None
+    for walked in islice(_walk(r, downward=index < 2), steps):
         pass
-    return value
+    return value if walked is None else _decode(walked)
 
 
 @lru_cache(maxsize=128)
@@ -162,7 +167,7 @@ def cluster_variable(
         gen, e_total, h_total = _generating_poly_cached(r, n, config_budget, max_exponent)
         value = LaurentPoly2._canonical({  # one-to-one, as r >= 2
             (r * w1 - e_total, r * (e_total - w2) - h_total): count
-            for (w2, w1), count in gen.terms.items()
+            for (w2, w1), count in gen._terms.items()
         })
         if index <= 0:
             value = value.swap_vars()
@@ -212,7 +217,7 @@ def f_polynomial(
     if index >= 3:
         return gen
     return LaurentPoly2._canonical({  # a reflection: one-to-one
-        (h_total - w1, e_total - w2): count for (w2, w1), count in gen.terms.items()
+        (h_total - w1, e_total - w2): count for (w2, w1), count in gen._terms.items()
     })
 
 
@@ -265,10 +270,11 @@ def verify_range(
     only the steps from the last admitted cell to x_n and x_(3-n).  Cells
     whose aggregation step count exceeds the budget, or whose exponents
     exceed the cap, are reported as skipped, never silently dropped, and
-    take no recursion step.  Rows come back sorted by (r, n) with status
-    pass/fail/skipped; ``millis`` times the formula and the new steps.  No
-    cell has r > sum_cap - 4, so ``r_max`` is clamped there and a huge value
-    costs nothing; ``r_max=None`` means sum_cap - 4.
+    take no recursion step.  The walks carry their values packed and decode
+    only the two each cell compares.  Rows come back sorted by (r, n) with
+    status pass/fail/skipped; ``millis`` times the formula and the new steps.
+    No cell has r > sum_cap - 4, so ``r_max`` is clamped there and a huge
+    value costs nothing; ``r_max=None`` means sum_cap - 4.
     """
     last_r = sum_cap - 4 if r_max is None else min(r_max, sum_cap - 4)
     rows: list[dict] = []
@@ -283,7 +289,7 @@ def verify_range(
                 for x_up, x_down in islice(walks, n - reached):
                     pass
                 reached = n
-                status = "pass" if up == x_up and down == x_down else "fail"
+                status = "pass" if (up, down) == (_decode(x_up), _decode(x_down)) else "fail"
             except (ConfigBudgetError, ExponentOverflowError):
                 status = "skipped"
             millis = int((time.perf_counter() - start) * 1000)

@@ -12,32 +12,50 @@ are immutable after construction and all operations are pure, so instances
 are safe to share across threads.
 
 The ring kernel the recursion oracle runs on (``*``, ``**``, ``div_exact``
-and the recursion step ``_exchange``) works on rows, ``{e1: {e2: coeff}}``
-with int keys.  Rows multiply by Kronecker substitution on the exponent
-lattice: the e2 keys of each operand lie on lo + g*Z, g the gcd of their
-differences (r for every x_m of the recursion), so a row packs into one int
-with slot i holding the coefficient of lo + g*i, and a row times a row is one
-big-int multiply.  Slots decode as signed values plus the borrow the slots
-below leave.  A packed row has a slot for every lattice point between its
-lowest and highest key.
+and the recursion step ``_step``) works on rows, one per e1.  Rows multiply
+by Kronecker substitution on the exponent lattice: the e2 keys of each operand
+lie on lo + g*Z, g the gcd of their differences (r for every x_m of the
+recursion), so a row packs into one int with slot i holding the coefficient of
+lo + g*i, and a row times a row is one big-int multiply.  A packed row has a
+slot for every lattice point between its lowest and highest key.
+
+Between operations a value is *carried* (``_Carried``): its nonzero rows, e1
+ascending, each cut to its lowest and highest nonzero slot and packed from one
+base key at one slot size s, joined in one bytes buffer.  A slot holds
+c + 2^(8s-1) little-endian, so it never borrows from its neighbour.
+``_carry`` makes one from a term map and ``_decode`` reads one back.  Beside
+the buffer a carried value keeps its lattice step g (0 for a single e2 key)
+and bits(max|c|), read from the bytes like ||value||_1: with the negative slots
+masked off by the top bit of each slot, the positive slots and the magnitudes
+of the negative ones are two buffers of nonnegative slots (``_magnitudes``),
+whose highest nonzero byte column gives the bits and whose byte column sums,
+weighted 256^k, give the norm.  Re-slotting to S bytes (``_rows_at``) is s
+strided copies, out[k::S] = data[k::s] (one per byte of S, with the top bit
+flipped, when S < s); a row's int less the half-slot offset
+2^(8*min(s, S) - 1) in every slot is then the row packed at S, exact for
+signed slots whenever every |c| is below that offset.  When the lattice step
+shrinks by a factor f, the copies land f slots apart.
 
 Two packed primitives do the arithmetic: ``_mul_packed`` sums the row
 products of two lists of packed rows, one int per output row, and
 ``_divide_packed`` divides a packed dividend by packed divisor rows, one
 ``divmod`` per quotient row, e1 ascending, each quotient row times the
-divisor's other rows owed, still packed, to later rows.  Each operation packs,
-calls a primitive and decodes once, with its own slot size.  ``*`` and ``**``
-(through ``_product``) size a slot for the largest sum it can receive: the
-bits of the largest factors, plus the bits of the number of products summed,
-plus a sign bit, rounded up to bytes.  ``div_exact`` (through ``_divide``)
-checks the bits of the decoded quotient to prove that no slot overflowed, and
-when the check fails retries once at a slot size that holds every exact
-quotient (a Mignotte bound), so every call ends after at most two sizes.  The
-quotient's exponents lie in the box min(dividend) - min(divisor) ..
-max(dividend) - max(divisor), and a non-exact division raises
-``NonExactDivisionError``.
+divisor's other rows owed, still packed, to later rows.  Each operation
+re-slots its carried operands to its own slot size, calls a primitive and
+carries the result.  ``*`` sizes a slot for the largest sum it can receive:
+the bits of the largest factors, plus the bits of the number of products
+summed, plus a sign bit, rounded up to bytes; ``**`` sizes one slot for every
+power of its base up to the last, from ||base||_1^(k-1) * max|base|.  Slot
+counts stand for term counts.  ``div_exact`` (through ``_divide``) checks the
+bits of the carried quotient to prove that no slot overflowed, and when the
+check fails retries once at a slot size that holds every exact quotient (a
+Mignotte bound), so every call ends after at most two sizes.  The quotient's
+exponents lie in the box min(dividend) - min(divisor) .. max(dividend) -
+max(divisor), and a non-exact division raises ``NonExactDivisionError``.
 
-``_exchange(prev, cur, r)`` is one recursion step, (cur**r + 1) / prev.  The
+``_step(prev, cur, r)`` is one recursion step, (cur**r + 1) / prev, from and
+to carried values, so ``cluster._walk`` decodes nothing between steps;
+``_exchange`` is the same step on polynomials (carry, step, decode).  The
 power, the ``+ 1`` and the division run at one size fixed before the step,
 from a bound that needs no positivity: no coefficient of cur**k, k <= r,
 exceeds ||cur||_1^(r-1) * max|cur|, and ``div_exact``'s first size adds
@@ -56,9 +74,9 @@ paths, chosen from the rows of ``cur`` alone:
   packed g_i exactly, p = (a - B)/g slots, at any slot size; the shift and
   the division by i*c leave nothing.
 - Otherwise left-to-right square and multiply (``_last_factors``, shared
-  with ``**``): the products below the last keep their own slot sizes, and
-  the last one, a square for an even r and a product with cur for an odd
-  one, is summed packed.
+  with ``**``) at the same slot size, no product decoded; the last one, a
+  square for an even r and a product with cur for an odd one, is summed
+  packed.
 
 Maps the package built canonical itself skip ``__init__``'s checks through
 the one trusted constructor, ``LaurentPoly2._canonical``.
@@ -67,20 +85,26 @@ the one trusted constructor, ``LaurentPoly2._canonical``.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import NonExactDivisionError, PoleError
 
 Exponents = tuple[int, int]
 Scalar = Union[int, "LaurentPoly2"]
-# Working form of the ring operations: {e1: {e2: coeff}}.
-Rows = dict[int, dict[int, int]]
 # Packed rows: (e1, slots from a base key to the row's lowest key, packed row).
 Packed = list[tuple[int, int, int]]
 
 RENDER_FORMATS = ("plain", "latex", "json")
+
+# Maps of the top byte of a carried slot, c + 2^(8s-1): 0xFF where c < 0;
+# the byte without its top bit; and the byte with its top bit flipped.
+_NEGATIVE = bytes([0xFF] * 0x80 + [0] * 0x80)
+_LOW7 = bytes(range(0x80)) * 2
+_FLIP = bytes(range(0x80, 0x100)) + bytes(range(0x80))
 
 
 def _is_int(value: object) -> bool:
@@ -229,7 +253,13 @@ class LaurentPoly2:
         other = self._coerce(other)
         if not (self and other):
             return LaurentPoly2.zero()
-        return _from_rows(_product(_to_rows(self._terms), _to_rows(other._terms)))
+        a, b = _carry(self), _carry(other)
+        g = gcd(a.g, b.g) or 1
+        # An output coefficient sums at most one product per term of the
+        # smaller operand, and the last bit is the sign.
+        size = -(-(a.bits + b.bits + 1 + min(_slots(a), _slots(b)).bit_length()) // 8)
+        product = _mul_packed(_rows_at(a, size, g), _rows_at(b, size, g), 8 * size)
+        return _decode(_carry_rows(sorted(product.items()), a.base + b.base, g, size))
 
     __rmul__ = __mul__
 
@@ -240,7 +270,11 @@ class LaurentPoly2:
             return LaurentPoly2.one()
         if k == 1 or not self:
             return self
-        return _from_rows(_product(*_last_factors(_to_rows(self._terms), k)))
+        base = _carry(self)
+        g = base.g or 1
+        size = _power_bits(base, k) // 8 + 1
+        product = _mul_packed(*_last_factors(_rows_at(base, size, g), k, 8 * size), 8 * size)
+        return _decode(_carry_rows(sorted(product.items()), k * base.base, g, size))
 
     def div_exact(self, divisor: Scalar) -> "LaurentPoly2":
         """Exact division: return t with t * divisor == self; ints coerce as for ``*``.
@@ -252,19 +286,21 @@ class LaurentPoly2:
 
         Packing a row at x2 = 2^(8*size) maps Z[x2^±1] into Z as a ring
         homomorphism, so the division becomes one in x1 with big-int
-        coefficients.  Every row of either operand is packed once, from its
-        own lowest key; a dividend row is shifted to the dividend's lowest e2,
-        and a divisor row after each product it enters.  Quotient rows are found e1
+        coefficients.  Both operands are carried once and re-slotted to each
+        slot size, every row from its own lowest key; a dividend row is
+        shifted to the dividend's lowest e2, and a divisor row after each
+        product it enters.  Quotient rows are found e1
         ascending: the dividend row, less what earlier quotient rows owe it,
         is divided by the divisor's lowest row, both without their low zero
         bits, in one ``divmod``, and the quotient row times each other divisor
         row is owed to a later row.  Owed values stay packed; the quotient
-        rows are decoded once, at the end.
+        rows are carried, then decoded once, at the end.
 
-        A slot size is checked after decoding: when bits(max|t|) +
-        bits(max|divisor|) + bits(min(#t, #divisor)) + 1 and
+        A slot size is checked on the carried quotient's bytes: when
+        bits(max|t|) + bits(max|divisor|) + bits(min(#t, #divisor)) + 1 and
         bits(max|self|) + 1 both fit a slot, t * divisor and self pack to the
         same ints with every slot in range, so they are equal term for term.
+        The term counts are bounded by slot counts.
         The first size leaves bits(max|self|) + 1 for the largest product
         coefficient, enough unless the product cancels there (the recursion's
         coefficients are positive).  When its check fails the division is
@@ -287,16 +323,14 @@ class LaurentPoly2:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly2.zero()
-        num = _to_rows(self._terms)
-        den = _to_rows(divisor._terms)
-        g = _stride(num, den)
-        lo2 = min(map(min, num.values()))
+        num, den = _carry(self), _carry(divisor)
+        g = gcd(num.g, den.g) or 1
 
         def pack(size: int) -> tuple[dict[int, int], int]:
-            return {e1: value << at * 8 * size
-                    for e1, at, value in _pack_rows(num, g, size, lo2)}, lo2
+            rows = _rows_at(num, size, g)
+            return {e1: value << at * 8 * size for e1, at, value in rows}, num.base
 
-        return _divide(pack, den, g, _coeff_bits(num), len(self))
+        return _decode(_divide(pack, den, g, num.bits, len(self)))
 
     # -- evaluation and symmetry --------------------------------------------
 
@@ -376,94 +410,205 @@ class LaurentPoly2:
         return " ".join(chunks)
 
 
-def _to_rows(terms: Mapping[Exponents, int]) -> Rows:
-    """Regroup a term map as rows {e1: {e2: coeff}}."""
-    rows: Rows = {}
-    for (e1, e2), coeff in terms.items():
-        row = rows.get(e1)
-        if row is None:
-            rows[e1] = {e2: coeff}
-        else:
-            row[e2] = coeff
-    return rows
-
-
-def _from_rows(rows: Rows) -> LaurentPoly2:
-    """The canonical polynomial of a row map; zero coefficients are dropped."""
-    return LaurentPoly2._canonical({
-        (e1, e2): coeff for e1, row in rows.items() for e2, coeff in row.items() if coeff
-    })
-
-
-def _lattice(rows: Rows) -> tuple[int, int]:
-    """(lo, g): the e2 keys lie on lo + g*Z, lo the lowest, g the gcd of their
-    differences (0 for a single key)."""
-    lo = min(map(min, rows.values()))
-    return lo, gcd(*(e2 - lo for row in rows.values() for e2 in row))
-
-
-def _stride(*operands: Rows) -> int:
-    """gcd of the e2 differences inside each operand: rows pack on lo + g*Z."""
-    return gcd(*(_lattice(rows)[1] for rows in operands)) or 1
-
-
 def _trailing_zeros(value: int) -> int:
     """The number of low zero bits of a nonzero int."""
     return (value & -value).bit_length() - 1
 
 
-def _coeff_bits(rows: Rows) -> int:
-    return max(max(map(abs, row.values())) for row in rows.values()).bit_length()
+class _Carried:
+    """A value packed between operations (see the module docstring).
 
-
-def _pack(row: dict[int, int], g: int, size: int) -> tuple[int, int]:
-    """(lowest key, packed row): slot i holds the coefficient of lo + g*i in ``size`` bytes."""
-    lo = min(row)
-    span = ((max(row) - lo) // g + 1) * size
-    pos, neg = bytearray(span), None
-    for e2, coeff in row.items():
-        at = (e2 - lo) // g * size
-        if coeff > 0:
-            pos[at:at + size] = coeff.to_bytes(size, "little")
-        elif coeff:
-            neg = neg or bytearray(span)
-            neg[at:at + size] = (-coeff).to_bytes(size, "little")
-    value = int.from_bytes(pos, "little")
-    return lo, value - int.from_bytes(neg, "little") if neg else value
-
-
-def _pack_rows(rows: Rows, g: int, size: int, base: int) -> Packed:
-    """Each row as (e1, slots from ``base`` to its lowest key, row packed from that key)."""
-    packed = []
-    for e1, row in rows.items():
-        lo, value = _pack(row, g, size)
-        packed.append((e1, (lo - base) // g, value))
-    return packed
-
-
-def _unpack(value: int, size: int, base: int, g: int) -> dict[int, int]:
-    """The nonzero signed slots of a packed int as a row; slot i is key base + g*i.
-
-    A slot reads as a signed ``size``-byte value plus the borrow that the
-    slots below leave when their sum is negative.
+    ``data`` holds the slots of every row, rows e1 ascending, ``size`` bytes a
+    slot, each c + 2^(8*size - 1) little-endian.  Row (e1, at, count) has
+    ``count`` slots, for the keys base + g*at, base + g*(at + 1), ..., its
+    first and last ones nonzero.  Some row has at = 0, so ``base`` is the
+    lowest e2; g is 0 for a single e2 key.  ``bits`` is bits(max|c|).
     """
-    end = (value.bit_length() // (8 * size) + 1) * size
-    data = value.to_bytes(end, "little", signed=True)
-    row = {}
-    borrow = 0
-    key = base
-    for coeff in [int.from_bytes(data[at:at + size], "little", signed=True)
-                  for at in range(0, end, size)]:
-        coeff += borrow
-        if coeff:
-            borrow = coeff < 0
-            row[key] = coeff
-        key += g
-    return row
+
+    __slots__ = ("data", "rows", "base", "g", "size", "bits")
+
+    def __init__(self, data: bytes, rows: list[tuple[int, int, int]], base: int, g: int,
+                 size: int, bits: int):
+        self.data, self.rows, self.base, self.g, self.size, self.bits = (
+            data, rows, base, g, size, bits)
+
+
+def _carry(poly: LaurentPoly2) -> _Carried:
+    """A nonzero polynomial carried at the fewest bytes a slot that hold its
+    coefficients, on the gcd of its e2 differences."""
+    terms = poly._terms
+    rows: dict[int, dict[int, int]] = {}
+    for (e1, e2), coeff in terms.items():
+        rows.setdefault(e1, {})[e2] = coeff
+    lo = min(e2 for _, e2 in terms)
+    g = gcd(*(e2 - lo for _, e2 in terms)) or 1
+    size = max(map(abs, terms.values())).bit_length() // 8 + 1
+    half, zero = 1 << 8 * size - 1, bytes(size - 1) + b"\x80"
+    chunks = []
+    for e1 in sorted(rows):
+        row = rows[e1]
+        low = min(row)
+        raw = bytearray(zero * ((max(row) - low) // g + 1))
+        for e2, coeff in row.items():
+            at = (e2 - low) // g * size
+            raw[at:at + size] = (coeff + half).to_bytes(size, "little")
+        chunks.append((e1, (low - lo) // g, raw))
+    return _joined(chunks, lo, g, size)
+
+
+def _carry_rows(rows: Iterable[tuple[int, int]], base: int, g: int, size: int) -> _Carried:
+    """Carry (e1, packed row) pairs, e1 ascending, each row packed from
+    ``base`` in signed ``size``-byte slots; zero rows are dropped.
+
+    A row's lowest nonzero slot is its trailing zero count over the slot
+    width, and its highest lies at most one slot above its bit length over
+    that width (exactly there when every |c| < 2^(8*size - 1)).
+    """
+    slot = 8 * size
+    zero = bytes(size - 1) + b"\x80"
+    chunks = []
+    for e1, value in rows:
+        if value:
+            low = _trailing_zeros(value) // slot
+            count = value.bit_length() // slot + 2 - low
+            raw = ((value >> low * slot) + int.from_bytes(zero * count, "little")).to_bytes(
+                count * size, "little")
+            while raw.endswith(zero):
+                raw = raw[:-size]
+            chunks.append((e1, low, raw))
+    return _joined(chunks, base, g, size)
+
+
+def _joined(chunks: list, base: int, g: int, size: int) -> _Carried:
+    """The carried value of rows (e1, slots from ``base`` to the row's first
+    slot, the row's carried slots), e1 ascending, first and last slots
+    nonzero.  When every row is one slot, the keys fix the lattice step.
+
+    bits(max|c|) is read off the highest nonzero byte column of the slot
+    magnitudes.
+    """
+    if not chunks:
+        return _Carried(b"", [], base, g, size, 0)
+    least = min(at for _, at, _ in chunks)
+    lattice = 1
+    if all(len(raw) == size for _, _, raw in chunks):
+        lattice = gcd(*(at - least for _, at, _ in chunks))
+    data = b"".join(raw for _, _, raw in chunks)
+    bits = 0
+    for buffer in _magnitudes(data, size):
+        for k in reversed(range(size)):
+            column = buffer[k::size]
+            if column.count(0) < len(column):
+                bits = max(bits, 8 * k + max(column).bit_length())
+                break
+    rows = [(e1, (at - least) // (lattice or 1), len(raw) // size) for e1, at, raw in chunks]
+    return _Carried(data, rows, base + least * g, g * lattice, size, bits)
+
+
+def _decode(value: _Carried) -> LaurentPoly2:
+    """The polynomial of a carried value.  Coefficients of at most 63 bits
+    are re-slotted to 1, 2, 4 or 8 bytes and read as one machine array."""
+    data, size, g = value.data, value.size, value.g
+    half, slots = 1 << 8 * size - 1, None
+    for fast, code in (1, "B"), (2, "H"), (4, "I"), (8, "Q"):
+        if value.bits < 8 * fast and sys.byteorder == "little":
+            half = 1 << 8 * min(size, fast) - 1
+            slots = memoryview(_reslot(data, size, fast, fast)).cast(code)
+            break
+
+    def row(start: int, count: int) -> Iterable[int]:
+        if slots is not None:
+            return slots[start:start + count]
+        return (int.from_bytes(data[at:at + size], "little")
+                for at in range(start * size, (start + count) * size, size))
+
+    step, base = g or 1, value.base  # g = 0: every row is one slot
+    starts = accumulate((count for _, _, count in value.rows), initial=0)
+    return LaurentPoly2._canonical({
+        (e1, e2): u - half
+        for (e1, at, count), start in zip(value.rows, starts)
+        for e2, u in zip(range(base + at * step, base + (at + count) * step, step),
+                         row(start, count))
+        if u != half})
+
+
+def _slots(value: _Carried) -> int:
+    """The slot count of a carried value, a bound on its term count."""
+    return len(value.data) // value.size
+
+
+def _magnitudes(data: bytes, size: int) -> list[bytes]:
+    """The |c| of carried slots as buffers of nonnegative ``size``-byte slots:
+    the positive slots, then, if there are any, the negative ones.
+
+    A slot holds c + 2^(8*size - 1), so c < 0 exactly when the top bit of its
+    top byte is clear.
+    """
+    top = data[size - 1::size]
+    sign = top.translate(_NEGATIVE)
+    if not sign.strip(b"\0"):
+        positive = bytearray(data)
+        positive[size - 1::size] = top.translate(_LOW7)
+        return [positive]
+    mask, half = bytearray(len(data)), bytearray(len(data))
+    for k in range(size):
+        mask[k::size] = sign
+    half[size - 1::size] = b"\x80" * len(sign)
+    mask, half, value = (int.from_bytes(buffer, "little") for buffer in (mask, half, data))
+    return [((value & ~mask) - (half & ~mask)).to_bytes(len(data), "little"),
+            ((half & mask) - (value & mask)).to_bytes(len(data), "little")]
+
+
+def _norm(value: _Carried) -> int:
+    """||value||_1: the byte column sums of the slot magnitudes, weighted 256^k,
+    up to the highest column that ``value.bits`` leaves nonzero."""
+    size = value.size
+    return sum(sum(buffer[k::size]) << 8 * k
+               for buffer in _magnitudes(value.data, size) for k in range(-(-value.bits // 8)))
+
+
+def _power_bits(value: _Carried, k: int) -> int:
+    """Bits that hold every coefficient of value**j, j <= k, plus one: none
+    exceeds ||value||_1^(k-1) * max|value|, whatever the signs."""
+    return (_norm(value) ** (k - 1)).bit_length() + value.bits
+
+
+def _reslot(data: bytes, old: int, size: int, width: int) -> bytearray:
+    """Carried slots of ``old`` bytes moved to ``size`` bytes, ``width`` bytes
+    apart, by strided byte copies.  A slot then holds
+    c + 2^(8*min(old, size) - 1), exact whenever |c| is below that offset."""
+    out = bytearray(len(data) // old * width)
+    for k in range(min(old, size)):
+        out[k::width] = data[k::old]
+    if size < old:
+        out[size - 1::width] = out[size - 1::width].translate(_FLIP)
+    return out
+
+
+def _rows_at(value: _Carried, size: int, g: int) -> Packed:
+    """The rows of a carried value packed at ``size`` bytes a slot on the
+    lattice step g, which divides the value's: (e1, slots from its base, row).
+
+    Exact whenever every |c| < 2^(8*min(size, value.size) - 1).
+    """
+    data, old = value.data, value.size
+    spread = value.g // g if value.g else 1
+    width = size * spread
+    out = data if (size, spread) == (old, 1) else _reslot(data, old, size, width)
+    longest = max(count for _, _, count in value.rows)
+    half = bytearray(longest * width)
+    half[min(old, size) - 1::width] = b"\x80" * longest
+    rows, end = [], 0
+    for e1, at, count in value.rows:
+        start, end = end, end + count * width
+        length = end - width + size - start
+        rows.append((e1, at * spread, int.from_bytes(out[start:start + length], "little")
+                     - int.from_bytes(half[:length], "little")))
+    return rows
 
 
 def _mul_packed(a: Packed, b: Packed, slot: int) -> dict[int, int]:
-    """Multiply packed rows (``_pack_rows``): {e1: int}, slot 0 at the sum of the bases.
+    """Multiply packed rows (``_rows_at``): {e1: int}, slot 0 at the sum of the bases.
 
     Row products are summed packed, one int per output row; each is shifted
     by the slots its two factors sit above their bases.  A square (``a is
@@ -480,55 +625,43 @@ def _mul_packed(a: Packed, b: Packed, slot: int) -> dict[int, int]:
     return acc
 
 
-def _product(a: Rows, b: Rows) -> Rows:
-    """The product of two nonempty row maps; a square (``a is b``) packs once.
-
-    A slot has bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 1 bits,
-    rounded up to bytes: an output coefficient sums at most one product per
-    term of the smaller operand, and the last bit is the sign.
-    """
-    g = _stride(a) if a is b else _stride(a, b)
-    width = (_coeff_bits(a) + _coeff_bits(b) + 1
-             + min(sum(map(len, a.values())), sum(map(len, b.values()))).bit_length())
-    size = -(-width // 8)
-    lo_a = min(map(min, a.values()))
-    lo_b = min(map(min, b.values()))
-    packed_a = _pack_rows(a, g, size, lo_a)
-    packed_b = packed_a if a is b else _pack_rows(b, g, size, lo_b)
-    return {e1: _unpack(value, size, lo_a + lo_b, g)
-            for e1, value in _mul_packed(packed_a, packed_b, 8 * size).items() if value}
-
-
-def _last_factors(base: Rows, k: int) -> tuple[Rows, Rows]:
+def _last_factors(base: Packed, k: int, slot: int) -> tuple[Packed, Packed]:
     """The two factors of the last product of ``base**k`` by left-to-right
     square and multiply, k >= 2: an even power ends in a square, returned as
     one object twice, and an odd one in a product with ``base``.
 
-    Every earlier product is made by ``_product``.
+    Every earlier product is summed packed at the same ``slot`` and stays
+    packed, each row cut to its lowest nonzero slot.
     """
+    def times(a: Packed, b: Packed) -> Packed:
+        product = []
+        for e1, value in _mul_packed(a, b, slot).items():
+            if value:
+                at = _trailing_zeros(value) // slot
+                product.append((e1, at, value >> at * slot))
+        return product
+
     result = base
     for bit in bin(k)[3:-1]:
-        result = _product(result, result)
+        result = times(result, result)
         if bit == "1":
-            result = _product(result, base)
-    return (result, result) if k % 2 == 0 else (_product(result, result), base)
+            result = times(result, base)
+    return (result, result) if k % 2 == 0 else (times(result, result), base)
 
 
-def _miller(rows: Rows, r: int, g: int, step: int, size: int) -> dict[int, int]:
-    """``rows**r`` as {e1: packed row} from r times the lowest e2 of ``rows``,
-    by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), r >= 1.
+def _miller(rows: Packed, r: int, step: int, slot: int) -> dict[int, int]:
+    """The r-th power of packed rows (e1 ascending) as {e1: packed row}, slot 0
+    at r times their base, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    4.7), r >= 1.
 
     The top row must be one term c*x2^a and the other rows lie on its e1
     lattice of ``step``.  With f = x1^top * sum_j f_j*y^j in y = x1^-step,
     the recurrence compares coefficients in f*(f^r)' = r*f'*f^r; the module
     docstring gives it and why it is exact at any slot size.
     """
-    slot = 8 * size
-    top = max(rows)
-    lo = min(map(min, rows.values()))
-    f = {(top - e1) // step: value << at * slot for e1, at, value in _pack_rows(rows, g, size, lo)}
-    (a, c), = rows[top].items()
-    shift = (a - lo) // g * slot
+    top, at, c = rows[-1]
+    shift = at * slot
+    f = {(top - e1) // step: value << at * slot for e1, at, value in rows}
     span = max(f)
     powers = [c**r << r * shift]
     for i in range(1, r * span + 1):
@@ -573,9 +706,10 @@ def _divide_packed(rows: list[int], count: int, lead: int, box_zeros: int, lead_
     return quotient
 
 
-def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: Rows, g: int,
-            num_bits: int, num_terms: int) -> LaurentPoly2:
-    """The exact quotient of a dividend by ``den`` in at most two slot sizes (see ``div_exact``).
+def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, g: int,
+            num_bits: int, num_terms: int) -> _Carried:
+    """The exact quotient of a dividend by ``den``, carried, in at most two
+    slot sizes (see ``div_exact``).
 
     ``pack(size)`` returns ({e1: packed row}, base), the dividend at ``size``
     bytes a slot with slot j of a row the coefficient of base + g*j.  No
@@ -583,14 +717,15 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: Rows, g: int
     at most ``num_terms`` terms.  A slot holds each coefficient with bits to
     spare, so the dividend's box reads off its packed rows: a row's lowest
     nonzero slot is its trailing zero count over the slot width, and its
-    highest is its bit length over that width.
+    highest is its bit length over that width.  Slot counts of ``den`` and
+    of the quotient stand for their term counts.
     """
-    den_lo1, den_hi1 = min(den), max(den)
-    den_lo2 = min(map(min, den.values()))
-    den_hi2 = max(map(max, den.values()))
-    den_bits = _coeff_bits(den)
-    den_terms = sum(map(len, den.values()))
-    lead_coeff = den[den_lo1][min(den[den_lo1])]
+    den_lo1, den_hi1 = den.rows[0][0], den.rows[-1][0]
+    den_lo2 = den.base
+    den_hi2 = den.base + den.g * (max(at + count for _, at, count in den.rows) - 1)
+    den_bits = den.bits
+    den_terms = _slots(den)
+    lead_coeff = int.from_bytes(den.data[:den.size], "little") - (1 << 8 * den.size - 1)
     twos = _trailing_zeros(lead_coeff)
     # Term by term, the remainder leaves the box unless a coefficient fails
     # to divide by the lead, which needs |lead| > 1.
@@ -609,7 +744,7 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: Rows, g: int
     acc, base = pack(size)
     live = [e1 for e1, value in acc.items() if value]
     if not live:
-        return LaurentPoly2.zero()
+        return _carry_rows([], base, g, size)
     slot = 8 * size
     low = min(_trailing_zeros(acc[e1]) for e1 in live) // slot
     high = max(acc[e1].bit_length() for e1 in live) // slot
@@ -627,80 +762,73 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: Rows, g: int
         # Divisor rows stay packed from their own lowest key, with the shift
         # that moves them to den_lo2, so that products stay short.
         others = []
-        for d1, at, value in _pack_rows(den, g, size, den_lo2):
+        for d1, at, value in _rows_at(den, size, g):
             if d1 == den_lo1:
                 lead, box_zeros = value >> twos, at * slot
             else:
                 others.append((d1 - den_lo1, at * slot, value))
         packed = _divide_packed(rows, last1 - first1 + 1, lead, box_zeros, box_zeros + twos,
                                 others, inexact)
-        quotient = {e1: _unpack(value, size, first2, g)
-                    for e1, value in enumerate(packed, first1) if value}
-        width = (_coeff_bits(quotient) + den_bits + 1
-                 + min(sum(map(len, quotient.values())), den_terms).bit_length())
+        quotient = _carry_rows(enumerate(packed, first1), first2, g, size)
+        width = quotient.bits + den_bits + 1 + min(_slots(quotient), den_terms).bit_length()
         if width <= slot:
-            return _from_rows(quotient)
+            return quotient
         if size == proven:
             raise NonExactDivisionError(inexact)
         size = proven
         acc = pack(size)[0]
 
 
-def _exchange(prev: LaurentPoly2, cur: LaurentPoly2, r: int) -> LaurentPoly2:
-    """One recursion step, ``(cur**r + 1).div_exact(prev)`` for r >= 1, with
-    cur**r + 1 packed once.
+def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
+    """One recursion step, (cur**r + 1) / prev for r >= 1, on nonzero carried
+    values, with cur**r + 1 packed once.
 
-    For r >= 2, when the top row of ``cur`` is one term and the rows below it
+    cur's rows are re-slotted to each slot size ``_divide`` tries.  For
+    r >= 2, when the top row of ``cur`` is one term and the rows below it
     span at most r steps of their e1 lattice, ``cur**r`` is made packed by
-    ``_miller``.  Otherwise the products of ``cur**r`` below the last are
-    made as ``**`` makes them, and the last product (cur times 1 when r = 1)
-    is summed packed.  Either way the power, the ``+ 1`` and the division run
-    on packed rows at one slot size, and cur**r + 1 is never decoded.
-    ``_divide`` sizes the slots as for ``div_exact``, from two bounds that
-    hold whatever the signs: no coefficient of cur**k, k <= r, exceeds
-    ||cur||_1^(r-1) * max|cur|, and cur**r has at most C(#cur + r - 1, r)
-    terms, one per multiset of r terms of cur.  A retry makes the packed
-    power again.
+    ``_miller``.  Otherwise it is made by ``_last_factors`` at the same slot
+    size, and the last product (cur times 1 when r = 1) is summed packed.
+    Either way the power, the ``+ 1`` and the division run on packed rows at
+    one slot size, and cur**r + 1 is never decoded.  ``_divide`` sizes the
+    slots as for ``div_exact``, from two bounds that hold whatever the signs:
+    no coefficient of cur**k, k <= r, exceeds ||cur||_1^(r-1) * max|cur|,
+    and cur**r has at most C(n + r - 1, r) terms, n the slot count of cur,
+    one per multiset of r terms of cur.  A retry makes the packed power again.
 
-    The stride is the gcd of cur's, r times cur's lowest e2, and prev's:
+    The stride is the gcd of cur's lattice step, r times cur's lowest e2, and
+    prev's lattice step:
     ``div_exact``'s stride when the support of cur**r fills its lattice, as
     in the recursion, whose coefficients are positive, and a divisor of it
     otherwise.
     """
-    if prev.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if cur.is_zero():
-        return LaurentPoly2.one().div_exact(prev)
-    rows = _to_rows(cur._terms)
-    den = _to_rows(prev._terms)
-    lo_cur, g_cur = _lattice(rows)
-    g = gcd(g_cur, r * lo_cur, _lattice(den)[1]) or 1
-    # Every packed power starts at r * lo_cur or above, and the 1 at 0.
-    base = min(r * lo_cur, 0)
-    top = max(rows)
-    step = gcd(*(top - e1 for e1 in rows)) or 1
-    if r > 1 and len(rows[top]) == 1 and top - min(rows) <= r * step:
-        def power(size: int) -> tuple[dict[int, int], int]:
-            return _miller(rows, r, g, step, size), r * lo_cur
-    else:
-        a, b = _last_factors(rows, r) if r > 1 else (rows, {0: {0: 1}})
-        lo_a = min(map(min, a.values()))
-        lo_b = min(map(min, b.values()))
-
-        def power(size: int) -> tuple[dict[int, int], int]:
-            packed_a = _pack_rows(a, g, size, lo_a)
-            packed_b = packed_a if a is b else _pack_rows(b, g, size, lo_b)
-            return _mul_packed(packed_a, packed_b, 8 * size), lo_a + lo_b
-
-    coeffs = [abs(coeff) for coeff in cur._terms.values()]
-    bound = sum(coeffs) ** (r - 1) * max(coeffs) + 1
+    g = gcd(cur.g, r * cur.base, prev.g) or 1
+    # Every packed power starts at r * cur.base or above, and the 1 at 0.
+    base = min(r * cur.base, 0)
+    top = cur.rows[-1][0]
+    step = gcd(*(top - e1 for e1, _, _ in cur.rows)) or 1
+    miller = r > 1 and cur.rows[-1][2] == 1 and top - cur.rows[0][0] <= r * step
 
     def pack(size: int) -> tuple[dict[int, int], int]:
         slot = 8 * size
-        acc, lo = power(size)
-        if up := (lo - base) // g * slot:
+        rows = _rows_at(cur, size, g)
+        if miller:
+            acc = _miller(rows, r, step, slot)
+        else:
+            acc = _mul_packed(*(_last_factors(rows, r, slot) if r > 1 else (rows, [(0, 0, 1)])),
+                              slot)
+        if up := (r * cur.base - base) // g * slot:
             acc = {e1: value << up for e1, value in acc.items()}
         acc[0] = acc.get(0, 0) + (1 << -base // g * slot)
         return acc, base
 
-    return _divide(pack, den, g, bound.bit_length(), comb(len(cur) + r - 1, r) + 1)
+    return _divide(pack, prev, g, _power_bits(cur, r), comb(_slots(cur) + r - 1, r) + 1)
+
+
+def _exchange(prev: LaurentPoly2, cur: LaurentPoly2, r: int) -> LaurentPoly2:
+    """One recursion step, ``(cur**r + 1).div_exact(prev)`` for r >= 1: the
+    two polynomials carried, ``_step``, and the quotient decoded."""
+    if prev.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if cur.is_zero():
+        return LaurentPoly2.one().div_exact(prev)
+    return _decode(_step(_carry(prev), _carry(cur), r))

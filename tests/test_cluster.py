@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,7 +142,7 @@ def test_cap_matrix_is_decided_from_d_n_before_any_work(monkeypatch):
         raise _Started
 
     monkeypatch.setattr(cluster, "build_path", start)
-    monkeypatch.setattr(cluster, "_exchange", start)
+    monkeypatch.setattr(cluster, "_step", start)
     for r in range(2, 6):
         for index in range(-6, 9):
             n = _top(index)
@@ -349,15 +351,15 @@ def test_verify_range_sorted_rows():
 
 
 def _count_steps(monkeypatch):
-    """Count ``_exchange`` calls, one per recursion step."""
+    """Count ``_step`` calls, one per recursion step."""
     calls = []
-    step = cluster._exchange
+    step = cluster._step
 
     def counting(prev, cur, r):
         calls.append(1)
         return step(prev, cur, r)
 
-    monkeypatch.setattr(cluster, "_exchange", counting)
+    monkeypatch.setattr(cluster, "_step", counting)
     return calls
 
 
@@ -383,6 +385,44 @@ def test_verify_range_opens_one_walk_up_and_one_down_per_r(monkeypatch):
     verify_range(None, 10)
     assert opened == [(r, downward) for r in range(2, 7) for downward in (False, True)]
     assert len(calls) == sum(2 * (10 - r - 2) for r in range(2, 7))
+
+
+def test_the_walk_decodes_only_the_values_that_leave_it(monkeypatch):
+    decoded = []
+    decode = cluster._decode
+
+    def counting(value):
+        decoded.append(1)
+        return decode(value)
+
+    monkeypatch.setattr(cluster, "_decode", counting)
+    oracle(3, 8)
+    assert len(decoded) == 1
+    decoded.clear()
+    verify_range(2, 24)
+    # x_4..x_22 up and x_-1..x_-19 down: 19 compared values per direction.
+    assert len(decoded) == 2 * 19
+
+
+# SHA-256 of repr(sorted(terms.items())) of the oracle's value, computed with
+# the recursion step that decoded every x_m into a term map.
+ORACLE_HASHES = {
+    (3, 8): "ada5835ed22c06ac0ace79cb9a0578dab329696ec170cd9c45b13096631a0849",
+    (2, 30): "8ae708a37150547acdd4917b1f3c210628edfefbf4a9dc0738afed096e9c4a18",
+    (2, -26): "3b95b5b56b34d1f6c0312d883d66c4608d29bc4fc06207d9f408a42a295ff560",
+    (20, 5): "757c4dbaf8862aa0ea0a6ceec2d82e0ee36d5a8f5850fb68790de1b278ab1337",
+    (20, -2): "2e7e8bf8d2a8eec139ef1cde808949898fbe0f539e284001d731c140c7860984",
+    (3, -4): "dfeb046236a50ce8a9a1c9dcf6d22f689dd27a33bc351f1f136fc8e3dc47fb49",
+    (4, 7): "e1fc5187c3f589bba8315b3592f7402508b5ca703dbd0a91c3d35b0bac0d015c",
+    (7, 6): "6e4cf46427eee6b6b6aae0bc8cd04e4057c1bdd91fbddc783c808bbc4e959353",
+    (1, 1000): "eb49812049888f1312c09d48aa8cc038ee2516471c2033e7ec7fa4930144d099",
+}
+
+
+@pytest.mark.parametrize("cell", list(ORACLE_HASHES))
+def test_oracle_values_are_pinned(cell):
+    terms = sorted(oracle(*cell).terms.items())
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == ORACLE_HASHES[cell]
 
 
 @pytest.mark.parametrize("r_max, sum_cap, caps, admitted", [

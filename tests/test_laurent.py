@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rank2cluster.errors import NonExactDivisionError, PoleError
 from rank2cluster import laurent
@@ -172,7 +172,7 @@ def test_div_exact_rejects_non_integer_quotient():
     # dividend's constant term.
     ((X1 + X2) ** 3 + 1, X1 + X2, "outside the quotient box"),
     # Every packed row divides by 2 at any slot size; only the bits check on
-    # the decoded quotient, at each of its slot sizes, rejects it.
+    # the quotient, at each of its slot sizes, rejects it.
     (2 + X2, 2, "not divisible"),
     # Lead 2: a remainder, though the in-box quotient 2 divides over Z.
     (4 + 2 * X2 + X2**2, 2 + X2, "not divisible"),
@@ -185,18 +185,19 @@ def test_div_exact_ends_on_non_exact_input(dividend, divisor, reason):
 @pytest.mark.parametrize("var", [X2, X1], ids=["one_row", "row_per_term"])
 def test_div_exact_retries_when_the_quotient_outgrows_the_dividend(monkeypatch, var):
     # The quotient's coefficients need 60 bits and the dividend's 38, so the
-    # first slot size fails the bits check and the proven size is used.
+    # first slot size fails the bits check and the proven size is used.  Both
+    # operands are re-slotted to each slot size the division runs at.
     dividend, divisor, quotient = (1 - var**3) ** 40, (1 - var) ** 40, (1 + var + var**2) ** 40
     assert max(map(abs, quotient.terms.values())).bit_length() == 60
     assert max(map(abs, dividend.terms.values())).bit_length() == 38
     sizes = set()
-    pack = laurent._pack
+    rows_at = laurent._rows_at
 
-    def spy(row, g, size):
+    def spy(value, size, g):
         sizes.add(size)
-        return pack(row, g, size)
+        return rows_at(value, size, g)
 
-    monkeypatch.setattr(laurent, "_pack", spy)
+    monkeypatch.setattr(laurent, "_rows_at", spy)
     assert dividend.div_exact(divisor) == quotient
     assert len(sizes) == 2
 
@@ -441,6 +442,77 @@ def test_json_round_trip(p):
     assert LaurentPoly2({(term["e1"], term["e2"]): int(term["c"]) for term in terms}) == p
 
 
+# -- carried values: the byte-level helpers ----------------------------------
+
+
+@st.composite
+def _signed_rows(draw):
+    """(size, rows): one to four rows of signed ``size``-byte slots, up to
+    +-(2^(8*size - 1) - 1), with zero slots, one-slot rows and negative top
+    slots; every row has a nonzero slot."""
+    size = draw(st.integers(1, 4))
+    top = (1 << 8 * size - 1) - 1
+    slot = st.one_of(st.integers(-top, top), st.sampled_from([0, 0, top, -top, -1]))
+    row = st.lists(slot, min_size=1, max_size=10).filter(any)
+    return size, draw(st.lists(row, min_size=1, max_size=4))
+
+
+def _packed(slots, size):
+    """Plain arithmetic: slot i times 2^(8*size*i)."""
+    return sum(coeff << 8 * size * i for i, coeff in enumerate(slots))
+
+
+@settings(deadline=None)
+@given(_signed_rows(), st.integers(1, 8), st.integers(1, 3), st.integers(-5, 5))
+@example((1, [[-127, 0, 127], [-1]]), 1, 1, 0)
+@example((2, [[0, -32767]]), 3, 2, -4)
+# size * spread equals the old slot width, yet every slot still moves.
+@example((2, [[1, 1]]), 1, 2, 0)
+def test_reslotting_a_carried_value_equals_packing_at_the_new_size(case, size, spread, base):
+    # Row e1 = j holds slot i at e2 = base + spread*i; the carried value is
+    # re-slotted to ``size`` bytes on the lattice step 1.
+    old, rows = case
+    coeffs = [c for row in rows for c in row if c]
+    assume(max(map(abs, coeffs)) < 1 << 8 * min(old, size) - 1)
+    carried = laurent._carry_rows([(j, _packed(row, old)) for j, row in enumerate(rows)],
+                                  base, spread, old)
+    terms = {(j, base + spread * i): c
+             for j, row in enumerate(rows) for i, c in enumerate(row) if c}
+    assert laurent._decode(carried) == LaurentPoly2(terms)
+    lowest = min(e2 for _, e2 in terms)
+    # Each carried row runs from its lowest to its highest nonzero slot.
+    nonzero = [[i for i, c in enumerate(row) if c] for row in rows]
+    assert [count for *_, count in carried.rows] == [row[-1] - row[0] + 1 for row in nonzero]
+    expected = []
+    for j, row in enumerate(rows):
+        first = next(i for i, c in enumerate(row) if c)
+        spread_row = [0] * (spread * (len(row) - first))
+        spread_row[::spread] = row[first:]
+        expected.append((j, base + spread * first - lowest, _packed(spread_row, size)))
+    assert laurent._rows_at(carried, size, 1) == expected
+
+
+@settings(deadline=None)
+@given(_signed_rows())
+@example((1, [[-128 + 1], [5, 0, -3]]))
+@example((3, [[0, 0, -(2**23) + 1]]))
+def test_bits_and_norm_read_from_the_bytes(case):
+    size, rows = case
+    carried = laurent._carry_rows([(j, _packed(row, size)) for j, row in enumerate(rows)],
+                                  0, 1, size)
+    coeffs = [c for row in rows for c in row]
+    assert carried.bits == max(map(abs, coeffs)).bit_length()
+    assert laurent._norm(carried) == sum(map(abs, coeffs))
+
+
+@given(kernel_polys.filter(bool))
+def test_carry_round_trips_a_polynomial(p):
+    carried = laurent._carry(p)
+    assert laurent._decode(carried) == p
+    assert carried.bits == max(map(abs, p.terms.values())).bit_length()
+    assert laurent._norm(carried) == sum(map(abs, p.terms.values()))
+
+
 # -- the recursion step ------------------------------------------------------
 
 _X3_R3 = (X2**3 + 1).div_exact(X1)
@@ -540,7 +612,8 @@ def test_the_last_step_powers_by_miller_exactly_when_the_rule_holds(monkeypatch,
     # where the binary path runs.
     downward = n <= 0
     start = [X2, X1] if downward else [X1, X2]
-    *_, prev, cur, last = start + list(islice(_walk(r, downward), (3 - n if downward else n) - 2))
+    walked = islice(_walk(r, downward), (3 - n if downward else n) - 2)
+    *_, prev, cur, last = start + [laurent._decode(value) for value in walked]
     monkeypatch.setattr(laurent, unused, _refuse)
     assert laurent._exchange(prev, cur, r) == last
 
@@ -548,15 +621,16 @@ def test_the_last_step_powers_by_miller_exactly_when_the_rule_holds(monkeypatch,
 def test_exchange_retries_when_the_quotient_outgrows_the_dividend(monkeypatch):
     # r = 1: cur + 1 = (1 - x2^3)^40, whose coefficients need 38 bits, over
     # (1 - x2)^40 leaves (1 + x2 + x2^2)^40, whose coefficients need 60.
+    # The step re-slots its carried operands to each slot size it divides at.
     prev, cur, quotient = (1 - X2) ** 40, (1 - X2**3) ** 40 - 1, (1 + X2 + X2**2) ** 40
     sizes = set()
-    pack = laurent._pack
+    rows_at = laurent._rows_at
 
-    def spy(row, g, size):
+    def spy(value, size, g):
         sizes.add(size)
-        return pack(row, g, size)
+        return rows_at(value, size, g)
 
-    monkeypatch.setattr(laurent, "_pack", spy)
+    monkeypatch.setattr(laurent, "_rows_at", spy)
     assert laurent._exchange(prev, cur, 1) == quotient
     assert len(sizes) == 2
 
@@ -568,4 +642,4 @@ def test_walk_matches_the_reference_recursion(r, steps, downward):
     prev, cur = (X2, X1) if downward else (X1, X2)
     for value in islice(_walk(r, downward), steps):
         prev, cur = cur, reference_div_exact(reference_pow(cur, r) + 1, prev)
-        assert value == cur
+        assert laurent._decode(value) == cur
