@@ -37,7 +37,8 @@ from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
 from .combinat import check_budget, generating_poly
 from .dyck import DimSequence, build_path, dim_sequence
 from .errors import ConfigBudgetError, ExponentOverflowError
-from .laurent import LaurentPoly2, _Carried, _carry, _decode, _step
+from .carried import _Carried, _carry
+from .laurent import LaurentPoly2, _decode, _step
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +92,7 @@ def _admit(r: int, index: int, max_exponent: int) -> DimSequence:
 
 def _walk(r: int, downward: bool) -> Iterator[_Carried]:
     """x_3, x_4, ... (x_0, x_-1, ... when ``downward``), one recursion step per
-    value, each carried packed (``laurent._Carried``; ``laurent._decode``
+    value, each carried packed (``carried._Carried``; ``laurent._decode``
     turns one into a polynomial).
 
     Holds only the last two values.  Downward, x_{m-1} = (x_m^r + 1) / x_{m+1}:
@@ -99,7 +100,7 @@ def _walk(r: int, downward: bool) -> Iterator[_Carried]:
     is ``laurent._step``, which packs x_m^r + 1 once and hands its quotient
     to the next step still packed, so no value is decoded inside the walk.
     """
-    prev, cur = _carry(LaurentPoly2.var1()), _carry(LaurentPoly2.var2())
+    prev, cur = _carry({(1, 0): 1}), _carry({(0, 1): 1})  # x1, x2
     if downward:
         prev, cur = cur, prev
     while True:

@@ -19,22 +19,9 @@ recursion), so a row packs into one int with slot i holding the coefficient of
 lo + g*i, and a row times a row is one big-int multiply.  A packed row has a
 slot for every lattice point between its lowest and highest key.
 
-Between operations a value is *carried* (``_Carried``): its nonzero rows, e1
-ascending, each cut to its lowest and highest nonzero slot and packed from one
-base key at one slot size s, joined in one bytes buffer.  A slot holds
-c + 2^(8s-1) little-endian, so it never borrows from its neighbour.
-``_carry`` makes one from a term map and ``_decode`` reads one back.  Beside
-the buffer a carried value keeps its lattice step g (0 for a single e2 key)
-and bits(max|c|), read from the bytes like ||value||_1: with the negative slots
-masked off by the top bit of each slot, the positive slots and the magnitudes
-of the negative ones are two buffers of nonnegative slots (``_magnitudes``),
-whose highest nonzero byte column gives the bits and whose byte column sums,
-weighted 256^k, give the norm.  Re-slotting to S bytes (``_rows_at``) is s
-strided copies, out[k::S] = data[k::s] (one per byte of S, with the top bit
-flipped, when S < s); a row's int less the half-slot offset
-2^(8*min(s, S) - 1) in every slot is then the row packed at S, exact for
-signed slots whenever every |c| is below that offset.  When the lattice step
-shrinks by a factor f, the copies land f slots apart.
+Between operations a value is carried (``carried._Carried``): its rows'
+slots in one bytes buffer at one slot size, which ``_rows_at`` moves to any
+other size by strided byte copies (see ``carried``).
 
 Two packed primitives do the arithmetic: ``_mul_packed`` sums the row
 products of two lists of packed rows, one int per output row, and
@@ -85,27 +72,17 @@ the one trusted constructor, ``LaurentPoly2._canonical``.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, gcd
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
+from .carried import (Packed, _Carried, _carry, _carry_rows, _lead, _power_bits, _rows_at,
+                      _slots, _term_map, _trailing_zeros)
 from .errors import NonExactDivisionError, PoleError
 
 Exponents = tuple[int, int]
 Scalar = Union[int, "LaurentPoly2"]
-# Packed rows: (e1, slots from a base key to the row's lowest key, packed row).
-Packed = list[tuple[int, int, int]]
-
 RENDER_FORMATS = ("plain", "latex", "json")
-
-# Maps of the top byte of a carried slot, c + 2^(8s-1): 0xFF where c < 0;
-# the byte without its top bit; and the byte with its top bit flipped.
-_NEGATIVE = bytes([0xFF] * 0x80 + [0] * 0x80)
-_LOW7 = bytes(range(0x80)) * 2
-_FLIP = bytes(range(0x80, 0x100)) + bytes(range(0x80))
-
 
 def _is_int(value: object) -> bool:
     """True for an int that is no bool, the one type of coefficients and exponents."""
@@ -253,7 +230,7 @@ class LaurentPoly2:
         other = self._coerce(other)
         if not (self and other):
             return LaurentPoly2.zero()
-        a, b = _carry(self), _carry(other)
+        a, b = _carry(self._terms), _carry(other._terms)
         g = gcd(a.g, b.g) or 1
         # An output coefficient sums at most one product per term of the
         # smaller operand, and the last bit is the sign.
@@ -270,7 +247,7 @@ class LaurentPoly2:
             return LaurentPoly2.one()
         if k == 1 or not self:
             return self
-        base = _carry(self)
+        base = _carry(self._terms)
         g = base.g or 1
         size = _power_bits(base, k) // 8 + 1
         product = _mul_packed(*_last_factors(_rows_at(base, size, g), k, 8 * size), 8 * size)
@@ -323,7 +300,7 @@ class LaurentPoly2:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly2.zero()
-        num, den = _carry(self), _carry(divisor)
+        num, den = _carry(self._terms), _carry(divisor._terms)
         g = gcd(num.g, den.g) or 1
 
         def pack(size: int) -> tuple[dict[int, int], int]:
@@ -410,201 +387,9 @@ class LaurentPoly2:
         return " ".join(chunks)
 
 
-def _trailing_zeros(value: int) -> int:
-    """The number of low zero bits of a nonzero int."""
-    return (value & -value).bit_length() - 1
-
-
-class _Carried:
-    """A value packed between operations (see the module docstring).
-
-    ``data`` holds the slots of every row, rows e1 ascending, ``size`` bytes a
-    slot, each c + 2^(8*size - 1) little-endian.  Row (e1, at, count) has
-    ``count`` slots, for the keys base + g*at, base + g*(at + 1), ..., its
-    first and last ones nonzero.  Some row has at = 0, so ``base`` is the
-    lowest e2; g is 0 for a single e2 key.  ``bits`` is bits(max|c|).
-    """
-
-    __slots__ = ("data", "rows", "base", "g", "size", "bits")
-
-    def __init__(self, data: bytes, rows: list[tuple[int, int, int]], base: int, g: int,
-                 size: int, bits: int):
-        self.data, self.rows, self.base, self.g, self.size, self.bits = (
-            data, rows, base, g, size, bits)
-
-
-def _carry(poly: LaurentPoly2) -> _Carried:
-    """A nonzero polynomial carried at the fewest bytes a slot that hold its
-    coefficients, on the gcd of its e2 differences."""
-    terms = poly._terms
-    rows: dict[int, dict[int, int]] = {}
-    for (e1, e2), coeff in terms.items():
-        rows.setdefault(e1, {})[e2] = coeff
-    lo = min(e2 for _, e2 in terms)
-    g = gcd(*(e2 - lo for _, e2 in terms)) or 1
-    size = max(map(abs, terms.values())).bit_length() // 8 + 1
-    half, zero = 1 << 8 * size - 1, bytes(size - 1) + b"\x80"
-    chunks = []
-    for e1 in sorted(rows):
-        row = rows[e1]
-        low = min(row)
-        raw = bytearray(zero * ((max(row) - low) // g + 1))
-        for e2, coeff in row.items():
-            at = (e2 - low) // g * size
-            raw[at:at + size] = (coeff + half).to_bytes(size, "little")
-        chunks.append((e1, (low - lo) // g, raw))
-    return _joined(chunks, lo, g, size)
-
-
-def _carry_rows(rows: Iterable[tuple[int, int]], base: int, g: int, size: int) -> _Carried:
-    """Carry (e1, packed row) pairs, e1 ascending, each row packed from
-    ``base`` in signed ``size``-byte slots; zero rows are dropped.
-
-    A row's lowest nonzero slot is its trailing zero count over the slot
-    width, and its highest lies at most one slot above its bit length over
-    that width (exactly there when every |c| < 2^(8*size - 1)).
-    """
-    slot = 8 * size
-    zero = bytes(size - 1) + b"\x80"
-    chunks = []
-    for e1, value in rows:
-        if value:
-            low = _trailing_zeros(value) // slot
-            count = value.bit_length() // slot + 2 - low
-            raw = ((value >> low * slot) + int.from_bytes(zero * count, "little")).to_bytes(
-                count * size, "little")
-            while raw.endswith(zero):
-                raw = raw[:-size]
-            chunks.append((e1, low, raw))
-    return _joined(chunks, base, g, size)
-
-
-def _joined(chunks: list, base: int, g: int, size: int) -> _Carried:
-    """The carried value of rows (e1, slots from ``base`` to the row's first
-    slot, the row's carried slots), e1 ascending, first and last slots
-    nonzero.  When every row is one slot, the keys fix the lattice step.
-
-    bits(max|c|) is read off the highest nonzero byte column of the slot
-    magnitudes.
-    """
-    if not chunks:
-        return _Carried(b"", [], base, g, size, 0)
-    least = min(at for _, at, _ in chunks)
-    lattice = 1
-    if all(len(raw) == size for _, _, raw in chunks):
-        lattice = gcd(*(at - least for _, at, _ in chunks))
-    data = b"".join(raw for _, _, raw in chunks)
-    bits = 0
-    for buffer in _magnitudes(data, size):
-        for k in reversed(range(size)):
-            column = buffer[k::size]
-            if column.count(0) < len(column):
-                bits = max(bits, 8 * k + max(column).bit_length())
-                break
-    rows = [(e1, (at - least) // (lattice or 1), len(raw) // size) for e1, at, raw in chunks]
-    return _Carried(data, rows, base + least * g, g * lattice, size, bits)
-
-
 def _decode(value: _Carried) -> LaurentPoly2:
-    """The polynomial of a carried value.  Coefficients of at most 63 bits
-    are re-slotted to 1, 2, 4 or 8 bytes and read as one machine array."""
-    data, size, g = value.data, value.size, value.g
-    half, slots = 1 << 8 * size - 1, None
-    for fast, code in (1, "B"), (2, "H"), (4, "I"), (8, "Q"):
-        if value.bits < 8 * fast and sys.byteorder == "little":
-            half = 1 << 8 * min(size, fast) - 1
-            slots = memoryview(_reslot(data, size, fast, fast)).cast(code)
-            break
-
-    def row(start: int, count: int) -> Iterable[int]:
-        if slots is not None:
-            return slots[start:start + count]
-        return (int.from_bytes(data[at:at + size], "little")
-                for at in range(start * size, (start + count) * size, size))
-
-    step, base = g or 1, value.base  # g = 0: every row is one slot
-    starts = accumulate((count for _, _, count in value.rows), initial=0)
-    return LaurentPoly2._canonical({
-        (e1, e2): u - half
-        for (e1, at, count), start in zip(value.rows, starts)
-        for e2, u in zip(range(base + at * step, base + (at + count) * step, step),
-                         row(start, count))
-        if u != half})
-
-
-def _slots(value: _Carried) -> int:
-    """The slot count of a carried value, a bound on its term count."""
-    return len(value.data) // value.size
-
-
-def _magnitudes(data: bytes, size: int) -> list[bytes]:
-    """The |c| of carried slots as buffers of nonnegative ``size``-byte slots:
-    the positive slots, then, if there are any, the negative ones.
-
-    A slot holds c + 2^(8*size - 1), so c < 0 exactly when the top bit of its
-    top byte is clear.
-    """
-    top = data[size - 1::size]
-    sign = top.translate(_NEGATIVE)
-    if not sign.strip(b"\0"):
-        positive = bytearray(data)
-        positive[size - 1::size] = top.translate(_LOW7)
-        return [positive]
-    mask, half = bytearray(len(data)), bytearray(len(data))
-    for k in range(size):
-        mask[k::size] = sign
-    half[size - 1::size] = b"\x80" * len(sign)
-    mask, half, value = (int.from_bytes(buffer, "little") for buffer in (mask, half, data))
-    return [((value & ~mask) - (half & ~mask)).to_bytes(len(data), "little"),
-            ((half & mask) - (value & mask)).to_bytes(len(data), "little")]
-
-
-def _norm(value: _Carried) -> int:
-    """||value||_1: the byte column sums of the slot magnitudes, weighted 256^k,
-    up to the highest column that ``value.bits`` leaves nonzero."""
-    size = value.size
-    return sum(sum(buffer[k::size]) << 8 * k
-               for buffer in _magnitudes(value.data, size) for k in range(-(-value.bits // 8)))
-
-
-def _power_bits(value: _Carried, k: int) -> int:
-    """Bits that hold every coefficient of value**j, j <= k, plus one: none
-    exceeds ||value||_1^(k-1) * max|value|, whatever the signs."""
-    return (_norm(value) ** (k - 1)).bit_length() + value.bits
-
-
-def _reslot(data: bytes, old: int, size: int, width: int) -> bytearray:
-    """Carried slots of ``old`` bytes moved to ``size`` bytes, ``width`` bytes
-    apart, by strided byte copies.  A slot then holds
-    c + 2^(8*min(old, size) - 1), exact whenever |c| is below that offset."""
-    out = bytearray(len(data) // old * width)
-    for k in range(min(old, size)):
-        out[k::width] = data[k::old]
-    if size < old:
-        out[size - 1::width] = out[size - 1::width].translate(_FLIP)
-    return out
-
-
-def _rows_at(value: _Carried, size: int, g: int) -> Packed:
-    """The rows of a carried value packed at ``size`` bytes a slot on the
-    lattice step g, which divides the value's: (e1, slots from its base, row).
-
-    Exact whenever every |c| < 2^(8*min(size, value.size) - 1).
-    """
-    data, old = value.data, value.size
-    spread = value.g // g if value.g else 1
-    width = size * spread
-    out = data if (size, spread) == (old, 1) else _reslot(data, old, size, width)
-    longest = max(count for _, _, count in value.rows)
-    half = bytearray(longest * width)
-    half[min(old, size) - 1::width] = b"\x80" * longest
-    rows, end = [], 0
-    for e1, at, count in value.rows:
-        start, end = end, end + count * width
-        length = end - width + size - start
-        rows.append((e1, at * spread, int.from_bytes(out[start:start + length], "little")
-                     - int.from_bytes(half[:length], "little")))
-    return rows
+    """The polynomial of a carried value."""
+    return LaurentPoly2._canonical(_term_map(value))
 
 
 def _mul_packed(a: Packed, b: Packed, slot: int) -> dict[int, int]:
@@ -725,7 +510,7 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, g:
     den_hi2 = den.base + den.g * (max(at + count for _, at, count in den.rows) - 1)
     den_bits = den.bits
     den_terms = _slots(den)
-    lead_coeff = int.from_bytes(den.data[:den.size], "little") - (1 << 8 * den.size - 1)
+    lead_coeff = _lead(den)
     twos = _trailing_zeros(lead_coeff)
     # Term by term, the remainder leaves the box unless a coefficient fails
     # to divide by the lead, which needs |lead| > 1.
@@ -831,4 +616,4 @@ def _exchange(prev: LaurentPoly2, cur: LaurentPoly2, r: int) -> LaurentPoly2:
         raise ZeroDivisionError("division by the zero polynomial")
     if cur.is_zero():
         return LaurentPoly2.one().div_exact(prev)
-    return _decode(_step(_carry(prev), _carry(cur), r))
+    return _decode(_step(_carry(prev._terms), _carry(cur._terms), r))

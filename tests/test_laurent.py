@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rank2cluster.errors import NonExactDivisionError, PoleError
-from rank2cluster import laurent
+from rank2cluster import carried, laurent
 from rank2cluster.cluster import _walk
 from rank2cluster.laurent import LaurentPoly2
 
@@ -474,22 +474,22 @@ def test_reslotting_a_carried_value_equals_packing_at_the_new_size(case, size, s
     old, rows = case
     coeffs = [c for row in rows for c in row if c]
     assume(max(map(abs, coeffs)) < 1 << 8 * min(old, size) - 1)
-    carried = laurent._carry_rows([(j, _packed(row, old)) for j, row in enumerate(rows)],
+    value = carried._carry_rows([(j, _packed(row, old)) for j, row in enumerate(rows)],
                                   base, spread, old)
     terms = {(j, base + spread * i): c
              for j, row in enumerate(rows) for i, c in enumerate(row) if c}
-    assert laurent._decode(carried) == LaurentPoly2(terms)
+    assert carried._term_map(value) == terms
     lowest = min(e2 for _, e2 in terms)
     # Each carried row runs from its lowest to its highest nonzero slot.
     nonzero = [[i for i, c in enumerate(row) if c] for row in rows]
-    assert [count for *_, count in carried.rows] == [row[-1] - row[0] + 1 for row in nonzero]
+    assert [count for *_, count in value.rows] == [row[-1] - row[0] + 1 for row in nonzero]
     expected = []
     for j, row in enumerate(rows):
         first = next(i for i, c in enumerate(row) if c)
         spread_row = [0] * (spread * (len(row) - first))
         spread_row[::spread] = row[first:]
         expected.append((j, base + spread * first - lowest, _packed(spread_row, size)))
-    assert laurent._rows_at(carried, size, 1) == expected
+    assert carried._rows_at(value, size, 1) == expected
 
 
 @settings(deadline=None)
@@ -498,19 +498,19 @@ def test_reslotting_a_carried_value_equals_packing_at_the_new_size(case, size, s
 @example((3, [[0, 0, -(2**23) + 1]]))
 def test_bits_and_norm_read_from_the_bytes(case):
     size, rows = case
-    carried = laurent._carry_rows([(j, _packed(row, size)) for j, row in enumerate(rows)],
+    value = carried._carry_rows([(j, _packed(row, size)) for j, row in enumerate(rows)],
                                   0, 1, size)
     coeffs = [c for row in rows for c in row]
-    assert carried.bits == max(map(abs, coeffs)).bit_length()
-    assert laurent._norm(carried) == sum(map(abs, coeffs))
+    assert value.bits == max(map(abs, coeffs)).bit_length()
+    assert carried._norm(value) == sum(map(abs, coeffs))
 
 
 @given(kernel_polys.filter(bool))
 def test_carry_round_trips_a_polynomial(p):
-    carried = laurent._carry(p)
-    assert laurent._decode(carried) == p
-    assert carried.bits == max(map(abs, p.terms.values())).bit_length()
-    assert laurent._norm(carried) == sum(map(abs, p.terms.values()))
+    value = carried._carry(p.terms)
+    assert carried._term_map(value) == p.terms
+    assert value.bits == max(map(abs, p.terms.values())).bit_length()
+    assert carried._norm(value) == sum(map(abs, p.terms.values()))
 
 
 # -- the recursion step ------------------------------------------------------
