@@ -84,6 +84,7 @@ Exponents = tuple[int, int]
 Scalar = Union[int, "LaurentPoly2"]
 RENDER_FORMATS = ("plain", "latex", "json")
 
+
 def _is_int(value: object) -> bool:
     """True for an int that is no bool, the one type of coefficients and exponents."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -266,11 +267,11 @@ class LaurentPoly2:
         coefficients.  Both operands are carried once and re-slotted to each
         slot size, every row from its own lowest key; a dividend row is
         shifted to the dividend's lowest e2, and a divisor row after each
-        product it enters.  Quotient rows are found e1
-        ascending: the dividend row, less what earlier quotient rows owe it,
-        is divided by the divisor's lowest row, both without their low zero
-        bits, in one ``divmod``, and the quotient row times each other divisor
-        row is owed to a later row.  Owed values stay packed; the quotient
+        product it enters.  Quotient rows are found e1 ascending: the
+        dividend row, less what earlier quotient rows owe it, is divided by
+        the divisor's lowest row, both without their low zero bits, in one
+        ``divmod``, and the quotient row times each other divisor row is
+        owed to a later row.  Owed values stay packed; the quotient
         rows are carried, then decoded once, at the end.
 
         A slot size is checked on the carried quotient's bytes: when
@@ -444,8 +445,8 @@ def _miller(rows: Packed, r: int, step: int, slot: int) -> dict[int, int]:
     the recurrence compares coefficients in f*(f^r)' = r*f'*f^r; the module
     docstring gives it and why it is exact at any slot size.
     """
-    top, at, c = rows[-1]
-    shift = at * slot
+    top, top_at, c = rows[-1]
+    shift = top_at * slot
     f = {(top - e1) // step: value << at * slot for e1, at, value in rows}
     span = max(f)
     powers = [c**r << r * shift]
