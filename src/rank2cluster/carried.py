@@ -5,18 +5,17 @@ Between the ring operations of ``laurent`` a polynomial is *carried*
 highest nonzero slot and packed from one base key at one slot size s, joined
 in one bytes buffer.  A slot holds c + 2^(8s-1) little-endian, so it never
 borrows from its neighbour.  ``_carry`` makes one from a term map and
-``_term_map`` reads one back.  Beside
-the buffer a carried value keeps its lattice step g (0 for a single e2 key)
-and bits(max|c|), read from the bytes like ||value||_1: with the negative slots
-masked off by the top bit of each slot, the positive slots and the magnitudes
-of the negative ones are two buffers of nonnegative slots (``_magnitudes``),
-whose highest nonzero byte column gives the bits and whose byte column sums,
-weighted 256^k, give the norm.  Re-slotting to S bytes (``_rows_at``) is s
-strided copies, out[k::S] = data[k::s] (one per byte of S, with the top bit
-flipped, when S < s); a row's int less the half-slot offset
-2^(8*min(s, S) - 1) in every slot is then the row packed at S, exact for
-signed slots whenever every |c| is below that offset.  When the lattice step
-shrinks by a factor f, the copies land f slots apart.
+``_term_map`` reads one back.  Beside the buffer a carried value keeps its
+lattice step g (0 for a single e2 key) and bits(max|c|), read from the bytes
+like ||value||_1: the slot magnitudes (``_magnitudes``: the top bit of each
+slot flipped, and each negative slot negated in place) are one buffer of
+nonnegative slots, whose highest nonzero byte column gives the bits and
+whose byte column sums, weighted 256^k, give the norm.  Re-slotting to S
+bytes (``_rows_at``) is s strided copies, out[k::S] = data[k::s] (one per
+byte of S, with the top bit flipped, when S < s); a row's int less the
+half-slot offset 2^(8*min(s, S) - 1) in every slot is then the row packed
+at S, exact for signed slots whenever every |c| is below that offset.  When
+the lattice step shrinks by a factor f, the copies land f slots apart.
 
 Every helper here reads or writes that one layout; ``laurent`` does the ring
 arithmetic on the packed rows ``_rows_at`` returns.
@@ -24,18 +23,18 @@ arithmetic on the packed rows ``_rows_at`` returns.
 
 from __future__ import annotations
 
-import sys
-from itertools import accumulate
+from itertools import repeat
 from math import gcd
+from operator import itemgetter
+from struct import iter_unpack
 from typing import Iterable, Mapping
 
 # Packed rows: (e1, slots from a base key to the row's lowest key, packed row).
 Packed = list[tuple[int, int, int]]
 
-# Maps of the top byte of a carried slot, c + 2^(8s-1): 0xFF where c < 0;
-# the byte without its top bit; and the byte with its top bit flipped.
+# Maps of the top byte of a carried slot, c + 2^(8s-1): 0xFF where c < 0,
+# and the byte with its top bit flipped.
 _NEGATIVE = bytes([0xFF] * 0x80 + [0] * 0x80)
-_LOW7 = bytes(range(0x80)) * 2
 _FLIP = bytes(range(0x80, 0x100)) + bytes(range(0x80))
 
 
@@ -122,40 +121,27 @@ def _joined(chunks: list, base: int, g: int, size: int) -> _Carried:
     if all(len(raw) == size for _, _, raw in chunks):
         lattice = gcd(*(at - least for _, at, _ in chunks))
     data = b"".join(raw for _, _, raw in chunks)
-    bits = 0
-    for buffer in _magnitudes(data, size):
-        for k in reversed(range(size)):
-            column = buffer[k::size]
-            if column.count(0) < len(column):
-                bits = max(bits, 8 * k + max(column).bit_length())
-                break
+    magnitudes, bits = _magnitudes(data, size), 0
+    for k in reversed(range(size)):
+        column = magnitudes[k::size]
+        if column.count(0) < len(column):
+            bits = 8 * k + max(column).bit_length()
+            break
     rows = [(e1, (at - least) // (lattice or 1), len(raw) // size) for e1, at, raw in chunks]
     return _Carried(data, rows, base + least * g, g * lattice, size, bits)
 
 
 def _term_map(value: _Carried) -> dict[tuple[int, int], int]:
-    """The canonical term map of a carried value.  Coefficients of at most 63
-    bits are re-slotted to 1, 2, 4 or 8 bytes and read as one machine array."""
-    data, size, g = value.data, value.size, value.g
-    half, slots = 1 << 8 * size - 1, None
-    for fast, code in (1, "B"), (2, "H"), (4, "I"), (8, "Q"):
-        if value.bits < 8 * fast and sys.byteorder == "little":
-            half = 1 << 8 * min(size, fast) - 1
-            slots = memoryview(_reslot(data, size, fast, fast)).cast(code)
-            break
-
-    def row(start: int, count: int) -> Iterable[int]:
-        if slots is not None:
-            return slots[start:start + count]
-        return (int.from_bytes(data[at:at + size], "little")
-                for at in range(start * size, (start + count) * size, size))
-
+    """The canonical term map of a carried value."""
+    size, g, half = value.size, value.g, 1 << 8 * value.size - 1
+    slots = map(int.from_bytes, map(itemgetter(0), iter_unpack(f"{size}s", value.data)),
+                repeat("little"))
     step, base = g or 1, value.base  # g = 0: every row is one slot
-    starts = accumulate((count for _, _, count in value.rows), initial=0)
+    # zip draws from its arguments left to right, so each row takes exactly
+    # its own slots from the one iterator.
     return {(e1, e2): u - half
-            for (e1, at, count), start in zip(value.rows, starts)
-            for e2, u in zip(range(base + at * step, base + (at + count) * step, step),
-                             row(start, count))
+            for e1, at, count in value.rows
+            for e2, u in zip(range(base + at * step, base + (at + count) * step, step), slots)
             if u != half}
 
 
@@ -169,34 +155,31 @@ def _lead(value: _Carried) -> int:
     return int.from_bytes(value.data[:value.size], "little") - (1 << 8 * value.size - 1)
 
 
-def _magnitudes(data: bytes, size: int) -> list[bytes]:
-    """The |c| of carried slots as buffers of nonnegative ``size``-byte slots:
-    the positive slots, then, if there are any, the negative ones.
+def _magnitudes(data: bytes, size: int) -> bytearray:
+    """The |c| of carried slots as nonnegative ``size``-byte slots.
 
-    A slot holds c + 2^(8*size - 1), so c < 0 exactly when the top bit of its
-    top byte is clear.
+    A slot holds u = c + 2^(8*size - 1), so c < 0 exactly when the top bit of
+    its top byte is clear.  Flipping that bit gives c for c >= 0, and
+    2^(8*size) - |c| for c < 0, which is replaced slot by slot.
     """
     top = data[size - 1::size]
-    sign = top.translate(_NEGATIVE)
-    if not sign.strip(b"\0"):
-        positive = bytearray(data)
-        positive[size - 1::size] = top.translate(_LOW7)
-        return [positive]
-    mask, half = bytearray(len(data)), bytearray(len(data))
-    for k in range(size):
-        mask[k::size] = sign
-    half[size - 1::size] = b"\x80" * len(sign)
-    mask, half, value = (int.from_bytes(buffer, "little") for buffer in (mask, half, data))
-    return [((value & ~mask) - (half & ~mask)).to_bytes(len(data), "little"),
-            ((half & mask) - (value & mask)).to_bytes(len(data), "little")]
+    out = bytearray(data)
+    out[size - 1::size] = top.translate(_FLIP)
+    negative, full = top.translate(_NEGATIVE), 1 << 8 * size
+    slot = negative.find(0xFF)
+    while slot >= 0:
+        at = slot * size
+        out[at:at + size] = (full - int.from_bytes(out[at:at + size], "little")).to_bytes(
+            size, "little")
+        slot = negative.find(0xFF, slot + 1)
+    return out
 
 
 def _norm(value: _Carried) -> int:
     """||value||_1: the byte column sums of the slot magnitudes, weighted 256^k,
     up to the highest column that ``value.bits`` leaves nonzero."""
-    size = value.size
-    return sum(sum(buffer[k::size]) << 8 * k
-               for buffer in _magnitudes(value.data, size) for k in range(-(-value.bits // 8)))
+    size, magnitudes = value.size, _magnitudes(value.data, value.size)
+    return sum(sum(magnitudes[k::size]) << 8 * k for k in range(-(-value.bits // 8)))
 
 
 def _power_bits(value: _Carried, k: int) -> int:

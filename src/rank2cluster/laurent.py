@@ -29,26 +29,26 @@ products of two lists of packed rows, one int per output row, and
 ``divmod`` per quotient row, e1 ascending, each quotient row times the
 divisor's other rows owed, still packed, to later rows.  Each operation
 re-slots its carried operands to its own slot size, calls a primitive and
-carries the result.  ``*`` sizes a slot for the largest sum it can receive:
-the bits of the largest factors, plus the bits of the number of products
-summed, plus a sign bit, rounded up to bytes; ``**`` sizes one slot for every
-power of its base up to the last, from ||base||_1^(k-1) * max|base|.  Slot
-counts stand for term counts.  ``div_exact`` (through ``_divide``) checks the
-bits of the carried quotient to prove that no slot overflowed, and when the
-check fails retries once at a slot size that holds every exact quotient (a
-Mignotte bound), so every call ends after at most two sizes.  The quotient's
+carries the result.  A product (``_times``, for ``*`` and each product of
+``**``) sizes a slot for the largest sum it can receive: the bits of the
+largest factors, plus the bits of the number of products summed, plus a sign
+bit, rounded up to bytes.  Where a term count is not known, a slot count
+stands for it.  ``div_exact`` (through ``_divide``) checks the bits of the
+carried quotient to prove that no slot overflowed, and when the check fails
+retries once at a slot size that holds every exact quotient (a Mignotte
+bound), so every call ends after at most two sizes.  The quotient's
 exponents lie in the box min(dividend) - min(divisor) .. max(dividend) -
 max(divisor), and a non-exact division raises ``NonExactDivisionError``.
 
 ``_step(prev, cur, r)`` is one recursion step, (cur**r + 1) / prev, from and
 to carried values, so ``cluster._walk`` decodes nothing between steps;
 ``_exchange`` is the same step on polynomials (carry, step, decode).  The
-power, the ``+ 1`` and the division run at one size fixed before the step,
-from a bound that needs no positivity: no coefficient of cur**k, k <= r,
-exceeds ||cur||_1^(r-1) * max|cur|, and ``div_exact``'s first size adds
-bits(#prev) + 2.  So cur**r + 1 is packed once and never decoded, and the
-quotient keeps every safeguard of ``div_exact``.  The power takes one of two
-paths, chosen from the rows of ``cur`` alone:
+power's last product, the ``+ 1`` and the division run at one size fixed
+before the step, from a bound that needs no positivity: no coefficient of
+cur**k, k <= r, exceeds ||cur||_1^(r-1) * max|cur|, and ``div_exact``'s
+first size adds bits(#prev) + 2.  So cur**r + 1 is packed once and never
+decoded, and the quotient keeps every safeguard of ``div_exact``.  The power
+takes one of two paths, chosen from the rows of ``cur`` alone:
 
 - Miller's recurrence (``_miller``) when r >= 2, the top row (largest e1, t)
   is one term c*x1^t*x2^a, and the rows below span J <= r steps of their e1
@@ -61,9 +61,9 @@ paths, chosen from the rows of ``cur`` alone:
   packed g_i exactly, p = (a - B)/g slots, at any slot size; the shift and
   the division by i*c leave nothing.
 - Otherwise left-to-right square and multiply (``_last_factors``, shared
-  with ``**``) at the same slot size, no product decoded; the last one, a
-  square for an even r and a product with cur for an odd one, is summed
-  packed.
+  with ``**``), every product but the last at its own slot size and carried
+  to the next, none decoded; the last one, a square for an even r and a
+  product with cur for an odd one, is summed packed at the step's size.
 
 Maps the package built canonical itself skip ``__init__``'s checks through
 the one trusted constructor, ``LaurentPoly2._canonical``.
@@ -231,13 +231,8 @@ class LaurentPoly2:
         other = self._coerce(other)
         if not (self and other):
             return LaurentPoly2.zero()
-        a, b = _carry(self._terms), _carry(other._terms)
-        g = gcd(a.g, b.g) or 1
-        # An output coefficient sums at most one product per term of the
-        # smaller operand, and the last bit is the sign.
-        size = -(-(a.bits + b.bits + 1 + min(_slots(a), _slots(b)).bit_length()) // 8)
-        product = _mul_packed(_rows_at(a, size, g), _rows_at(b, size, g), 8 * size)
-        return _decode(_carry_rows(sorted(product.items()), a.base + b.base, g, size))
+        return _decode(_times(_carry(self._terms), _carry(other._terms),
+                              min(len(self), len(other))))
 
     __rmul__ = __mul__
 
@@ -248,11 +243,8 @@ class LaurentPoly2:
             return LaurentPoly2.one()
         if k == 1 or not self:
             return self
-        base = _carry(self._terms)
-        g = base.g or 1
-        size = _power_bits(base, k) // 8 + 1
-        product = _mul_packed(*_last_factors(_rows_at(base, size, g), k, 8 * size), 8 * size)
-        return _decode(_carry_rows(sorted(product.items()), k * base.base, g, size))
+        a, b = _last_factors(_carry(self._terms), k)
+        return _decode(_times(a, b, min(_slots(a), _slots(b))))
 
     def div_exact(self, divisor: Scalar) -> "LaurentPoly2":
         """Exact division: return t with t * divisor == self; ints coerce as for ``*``.
@@ -308,7 +300,7 @@ class LaurentPoly2:
             rows = _rows_at(num, size, g)
             return {e1: value << at * 8 * size for e1, at, value in rows}, num.base
 
-        return _decode(_divide(pack, den, g, num.bits, len(self)))
+        return _decode(_divide(pack, den, len(divisor), g, num.bits, len(self)))
 
     # -- evaluation and symmetry --------------------------------------------
 
@@ -411,21 +403,32 @@ def _mul_packed(a: Packed, b: Packed, slot: int) -> dict[int, int]:
     return acc
 
 
-def _last_factors(base: Packed, k: int, slot: int) -> tuple[Packed, Packed]:
+def _times(a: _Carried, b: _Carried, terms: int) -> _Carried:
+    """The product of two nonzero carried values, carried; a square (``a is
+    b``) re-slots once.
+
+    A slot has bits(max|a|) + bits(max|b|) + bits(terms) + 1 bits, rounded up
+    to bytes: an output coefficient sums at most one product per term of the
+    smaller operand, which has at most ``terms`` terms, and the last bit is
+    the sign.
+    """
+    g = gcd(a.g, b.g) or 1
+    size = -(-(a.bits + b.bits + 1 + terms.bit_length()) // 8)
+    rows = _rows_at(a, size, g)
+    product = _mul_packed(rows, rows if a is b else _rows_at(b, size, g), 8 * size)
+    return _carry_rows(sorted(product.items()), a.base + b.base, g, size)
+
+
+def _last_factors(base: _Carried, k: int) -> tuple[_Carried, _Carried]:
     """The two factors of the last product of ``base**k`` by left-to-right
     square and multiply, k >= 2: an even power ends in a square, returned as
     one object twice, and an odd one in a product with ``base``.
 
-    Every earlier product is summed packed at the same ``slot`` and stays
-    packed, each row cut to its lowest nonzero slot.
+    Every earlier product is made by ``_times``, each at its own slot size,
+    and stays carried; slot counts stand for term counts.
     """
-    def times(a: Packed, b: Packed) -> Packed:
-        product = []
-        for e1, value in _mul_packed(a, b, slot).items():
-            if value:
-                at = _trailing_zeros(value) // slot
-                product.append((e1, at, value >> at * slot))
-        return product
+    def times(a: _Carried, b: _Carried) -> _Carried:
+        return _times(a, b, min(_slots(a), _slots(b)))
 
     result = base
     for bit in bin(k)[3:-1]:
@@ -492,25 +495,24 @@ def _divide_packed(rows: list[int], count: int, lead: int, box_zeros: int, lead_
     return quotient
 
 
-def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, g: int,
-            num_bits: int, num_terms: int) -> _Carried:
+def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, den_terms: int,
+            g: int, num_bits: int, num_terms: int) -> _Carried:
     """The exact quotient of a dividend by ``den``, carried, in at most two
     slot sizes (see ``div_exact``).
 
     ``pack(size)`` returns ({e1: packed row}, base), the dividend at ``size``
     bytes a slot with slot j of a row the coefficient of base + g*j.  No
     coefficient of the dividend needs more than ``num_bits`` bits, and it has
-    at most ``num_terms`` terms.  A slot holds each coefficient with bits to
-    spare, so the dividend's box reads off its packed rows: a row's lowest
-    nonzero slot is its trailing zero count over the slot width, and its
-    highest is its bit length over that width.  Slot counts of ``den`` and
-    of the quotient stand for their term counts.
+    at most ``num_terms`` terms; ``den`` has at most ``den_terms``.  A slot
+    holds each coefficient with bits to spare, so the dividend's box reads
+    off its packed rows: a row's lowest nonzero slot is its trailing zero
+    count over the slot width, and its highest is its bit length over that
+    width.  The quotient's slot count stands for its term count.
     """
     den_lo1, den_hi1 = den.rows[0][0], den.rows[-1][0]
     den_lo2 = den.base
     den_hi2 = den.base + den.g * (max(at + count for _, at, count in den.rows) - 1)
     den_bits = den.bits
-    den_terms = _slots(den)
     lead_coeff = _lead(den)
     twos = _trailing_zeros(lead_coeff)
     # Term by term, the remainder leaves the box unless a coefficient fails
@@ -569,17 +571,18 @@ def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
     """One recursion step, (cur**r + 1) / prev for r >= 1, on nonzero carried
     values, with cur**r + 1 packed once.
 
-    cur's rows are re-slotted to each slot size ``_divide`` tries.  For
-    r >= 2, when the top row of ``cur`` is one term and the rows below it
+    For r >= 2, when the top row of ``cur`` is one term and the rows below it
     span at most r steps of their e1 lattice, ``cur**r`` is made packed by
-    ``_miller``.  Otherwise it is made by ``_last_factors`` at the same slot
-    size, and the last product (cur times 1 when r = 1) is summed packed.
-    Either way the power, the ``+ 1`` and the division run on packed rows at
-    one slot size, and cur**r + 1 is never decoded.  ``_divide`` sizes the
-    slots as for ``div_exact``, from two bounds that hold whatever the signs:
-    no coefficient of cur**k, k <= r, exceeds ||cur||_1^(r-1) * max|cur|,
-    and cur**r has at most C(n + r - 1, r) terms, n the slot count of cur,
-    one per multiset of r terms of cur.  A retry makes the packed power again.
+    ``_miller`` from cur's rows.  Otherwise ``_last_factors`` makes the two
+    factors of its last product (cur and 1 when r = 1), each earlier product
+    at its own size.  Either way the rows are re-slotted to the slot size
+    ``_divide`` tries, the last product, the ``+ 1`` and the division run on
+    packed rows at that one size, and cur**r + 1 is never decoded.
+    ``_divide`` sizes the slots as for ``div_exact``, from two bounds that
+    hold whatever the signs: no coefficient of cur**k, k <= r, exceeds
+    ||cur||_1^(r-1) * max|cur|, and cur**r has at most C(n + r - 1, r)
+    terms, n the slot count of cur, one per multiset of r terms of cur.  A
+    retry makes the packed power again.
 
     The stride is the gcd of cur's lattice step, r times cur's lowest e2, and
     prev's lattice step:
@@ -588,7 +591,7 @@ def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
     otherwise.
     """
     g = gcd(cur.g, r * cur.base, prev.g) or 1
-    # Every packed power starts at r * cur.base or above, and the 1 at 0.
+    # The packed power starts at r * cur.base or above, and the 1 at 0.
     base = min(r * cur.base, 0)
     top = cur.rows[-1][0]
     step = gcd(*(top - e1 for e1, _, _ in cur.rows)) or 1
@@ -596,18 +599,20 @@ def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
 
     def pack(size: int) -> tuple[dict[int, int], int]:
         slot = 8 * size
-        rows = _rows_at(cur, size, g)
         if miller:
-            acc = _miller(rows, r, step, slot)
+            acc, low = _miller(_rows_at(cur, size, g), r, step, slot), r * cur.base
         else:
-            acc = _mul_packed(*(_last_factors(rows, r, slot) if r > 1 else (rows, [(0, 0, 1)])),
-                              slot)
-        if up := (r * cur.base - base) // g * slot:
+            a, b = _last_factors(cur, r) if r > 1 else (cur, _carry({(0, 0): 1}))
+            rows = _rows_at(a, size, g)
+            acc = _mul_packed(rows, rows if a is b else _rows_at(b, size, g), slot)
+            low = a.base + b.base
+        if up := (low - base) // g * slot:
             acc = {e1: value << up for e1, value in acc.items()}
         acc[0] = acc.get(0, 0) + (1 << -base // g * slot)
         return acc, base
 
-    return _divide(pack, prev, g, _power_bits(cur, r), comb(_slots(cur) + r - 1, r) + 1)
+    return _divide(pack, prev, _slots(prev), g, _power_bits(cur, r),
+                   comb(_slots(cur) + r - 1, r) + 1)
 
 
 def _exchange(prev: LaurentPoly2, cur: LaurentPoly2, r: int) -> LaurentPoly2:

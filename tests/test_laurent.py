@@ -72,6 +72,19 @@ def _full_slots(k, n, sign):
     return LaurentPoly2({(0, i): sign**i * (2**k - 1) for i in range(n)})
 
 
+def _spy_sizes(monkeypatch) -> list:
+    """The slot sizes ``laurent._rows_at`` is called with, in call order."""
+    sizes = []
+    rows_at = laurent._rows_at
+
+    def spy(value, size, g):
+        sizes.append(size)
+        return rows_at(value, size, g)
+
+    monkeypatch.setattr(laurent, "_rows_at", spy)
+    return sizes
+
+
 # A division that never ends would otherwise hang the suite.
 pytestmark = pytest.mark.usefixtures("time_limit")
 
@@ -190,16 +203,9 @@ def test_div_exact_retries_when_the_quotient_outgrows_the_dividend(monkeypatch, 
     dividend, divisor, quotient = (1 - var**3) ** 40, (1 - var) ** 40, (1 + var + var**2) ** 40
     assert max(map(abs, quotient.terms.values())).bit_length() == 60
     assert max(map(abs, dividend.terms.values())).bit_length() == 38
-    sizes = set()
-    rows_at = laurent._rows_at
-
-    def spy(value, size, g):
-        sizes.add(size)
-        return rows_at(value, size, g)
-
-    monkeypatch.setattr(laurent, "_rows_at", spy)
+    sizes = _spy_sizes(monkeypatch)
     assert dividend.div_exact(divisor) == quotient
-    assert len(sizes) == 2
+    assert len(set(sizes)) == 2
 
 
 def test_div_by_zero():
@@ -391,6 +397,24 @@ def test_mul_matches_reference(p, q):
 def test_pow_matches_reference(case):
     p, k = case
     assert p**k == reference_pow(p, k)
+
+
+def test_each_product_of_a_power_is_sized_from_its_own_factors(monkeypatch):
+    # (X1 + X2 + 1)**8 is three squares.  The bits of each factor's largest
+    # coefficient (1, 2, 4) and of its slot count (3, 6, 15) give slot widths
+    # of 5, 8 and 13 bits.
+    sizes = _spy_sizes(monkeypatch)
+    assert (X1 + X2 + 1) ** 8 == reference_pow(X1 + X2 + 1, 8)
+    assert sizes == [1, 1, 2]
+
+
+def test_mul_sizes_its_slot_from_term_counts(monkeypatch):
+    # Three terms fill 301 slots of one row.  From the term count the slot
+    # needs 7 + 6 + 1 + bits(3) = 16 bits; from the slot count, 23.
+    p, q = 64 * (1 + X2 + X2**300), 32 * (1 + X2 + X2**300)
+    sizes = _spy_sizes(monkeypatch)
+    assert p * q == reference_mul(p, q)
+    assert sizes == [2, 2]
 
 
 @settings(deadline=None)
@@ -623,16 +647,9 @@ def test_exchange_retries_when_the_quotient_outgrows_the_dividend(monkeypatch):
     # (1 - x2)^40 leaves (1 + x2 + x2^2)^40, whose coefficients need 60.
     # The step re-slots its carried operands to each slot size it divides at.
     prev, cur, quotient = (1 - X2) ** 40, (1 - X2**3) ** 40 - 1, (1 + X2 + X2**2) ** 40
-    sizes = set()
-    rows_at = laurent._rows_at
-
-    def spy(value, size, g):
-        sizes.add(size)
-        return rows_at(value, size, g)
-
-    monkeypatch.setattr(laurent, "_rows_at", spy)
+    sizes = _spy_sizes(monkeypatch)
     assert laurent._exchange(prev, cur, 1) == quotient
-    assert len(sizes) == 2
+    assert len(set(sizes)) == 2
 
 
 @pytest.mark.parametrize("r, steps", [(1, 6), (2, 5), (3, 4), (4, 4), (5, 4), (6, 4), (7, 3),
