@@ -17,6 +17,13 @@ half-slot offset 2^(8*min(s, S) - 1) in every slot is then the row packed
 at S, exact for signed slots whenever every |c| is below that offset.  When
 the lattice step shrinks by a factor f, the copies land f slots apart.
 
+The two-point row product of ``laurent`` (for long rows; division and
+Miller's recurrence stay one-point, see ``laurent``) moves slots the same
+way.  ``_split`` cuts packed rows into their even and odd slots, and
+``_interleave`` joins each pair of halves back into one row.  Each writes
+its rows as carried slots into one buffer and makes 2*size strided copies
+over all of them at once.
+
 Every helper here reads or writes that one layout; ``laurent`` does the ring
 arithmetic on the packed rows ``_rows_at`` returns.
 """
@@ -198,6 +205,58 @@ def _reslot(data: bytes, old: int, size: int, width: int) -> bytearray:
     if size < old:
         out[size - 1::width] = out[size - 1::width].translate(_FLIP)
     return out
+
+
+def _offset_joined(values: list[int], counts: list[int], size: int) -> bytes:
+    """Signed packed ints as carried slots joined in one buffer, ``counts[i]``
+    slots of ``size`` bytes for ``values[i]``."""
+    zero = bytes(size - 1) + b"\x80"
+    return b"".join([(value + int.from_bytes(zero * count, "little")).to_bytes(
+        count * size, "little") for value, count in zip(values, counts)])
+
+
+def _offset_ints(data: bytes, counts: list[int], size: int) -> list[int]:
+    """The signed packed ints of consecutive runs of ``counts[i]`` carried slots."""
+    zero = bytes(size - 1) + b"\x80"
+    values, end = [], 0
+    for count in counts:
+        start, end = end, end + count * size
+        values.append(int.from_bytes(data[start:end], "little")
+                      - int.from_bytes(zero * count, "little"))
+    return values
+
+
+def _split(values: list[int], size: int) -> list[tuple[int, int]]:
+    """Each packed row cut into its even and its odd slots, each half packed at
+    ``size`` bytes a slot, by strided byte copies over one buffer of them all.
+
+    Exact whenever every |c| < 2^(8*size - 1): a row then has at most
+    bits // (8*size) + 1 slots.
+    """
+    width = 2 * size
+    pairs = [value.bit_length() // (8 * width) + 1 for value in values]
+    data = _offset_joined(values, [2 * count for count in pairs], size)
+    even, odd = bytearray(len(data) // 2), bytearray(len(data) // 2)
+    for k in range(size):
+        even[k::size] = data[k::width]
+        odd[k::size] = data[size + k::width]
+    return list(zip(_offset_ints(even, pairs, size), _offset_ints(odd, pairs, size)))
+
+
+def _interleave(halves: list[tuple[int, int]], size: int) -> list[int]:
+    """The inverse of ``_split``: each (even, odd) pair of packed halves as one
+    row with their slots alternating, by strided byte copies.  Exact whenever
+    every |c| < 2^(8*size - 1)."""
+    width = 2 * size
+    pairs = [max(even.bit_length(), odd.bit_length()) // (8 * size) + 1
+             for even, odd in halves]
+    even = _offset_joined([even for even, _ in halves], pairs, size)
+    odd = _offset_joined([odd for _, odd in halves], pairs, size)
+    data = bytearray(2 * len(even))
+    for k in range(size):
+        data[k::width] = even[k::size]
+        data[size + k::width] = odd[k::size]
+    return _offset_ints(data, [2 * count for count in pairs], size)
 
 
 def _rows_at(value: _Carried, size: int, g: int) -> Packed:

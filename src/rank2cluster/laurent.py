@@ -26,23 +26,39 @@ other size by strided byte copies (see ``carried``).
 Two packed primitives do the arithmetic: ``_mul_packed`` sums the row
 products of two lists of packed rows, one int per output row, and
 ``_divide_packed`` divides a packed dividend by packed divisor rows, one
-``divmod`` per quotient row, e1 ascending, each quotient row times the
-divisor's other rows owed, still packed, to later rows.  Each operation
-re-slots its carried operands to its own slot size, calls a primitive and
-carries the result.  A product (``_times``, for ``*`` and each product of
-``**``) sizes a slot for the largest sum it can receive: the bits of the
-largest factors, plus the bits of the number of products summed, plus a sign
-bit, rounded up to bytes.  Where a term count is not known, a slot count
-stands for it.  ``div_exact`` (through ``_divide``) checks the bits of the
-carried quotient to prove that no slot overflowed, and when the check fails
-retries once at a slot size that holds every exact quotient (a Mignotte
-bound), so every call ends after at most two sizes.  The quotient's
-exponents lie in the box min(dividend) - min(divisor) .. max(dividend) -
-max(divisor), and a non-exact division raises ``NonExactDivisionError``.
+``divmod`` per quotient row, e1 ascending on the e1 lattice of both operands,
+each quotient row times the divisor's other rows owed, still packed, to later
+rows.  Each operation re-slots its carried operands to its own slot size,
+calls a primitive and carries the result.  A product (``_times``, for ``*``
+and each product of ``**``) sizes a slot for the largest sum it can receive:
+the bits of the largest factors, plus the bits of the number of products
+summed, plus a sign bit, rounded up to bytes.  Where a term count is not
+known, a slot count stands for it.  ``div_exact`` (through ``_divide``)
+checks the bits of the carried quotient to prove that no slot overflowed, and
+when the check fails retries once at a slot size that holds every exact
+quotient (a Mignotte bound), so every call ends after at most two sizes.  The
+quotient's exponents lie in the box min(dividend) - min(divisor) ..
+max(dividend) - max(divisor), and a non-exact division raises
+``NonExactDivisionError``.
+
+Long rows multiply at two points (Harvey's multipoint Kronecker
+substitution).  A row x^at * A(x) is packed at x = 2^S, S = 8*size; with E
+and O the even and odd slots of A, each packed at S (``carried._split``),
+A(2^b) = E + O*2^b and A(-2^b) = E - O*2^b for b = S/2, times (-1)^at on the
+minus side.  The row products are summed at both points, P and M, by the same
+loop as at 2^S, with every big-int multiply half as long.  Then (P + M)/2 and
+(P - M)/2^(b+1) are the even and odd slots of the output row, and
+``carried._interleave`` puts them back at 2^S: the same int as the one-point
+product whenever every coefficient of the operands and of the product fits
+its slot, which every caller's slot size ensures.  ``_mul_packed`` takes this
+path when the longest row of each operand has at least ``_TWO_POINT_BITS``
+bits.  Division stays one-point: at its first slot size a dividend row may
+exceed its slots before the bits check rejects that size, and such a row
+cannot be split.  So does Miller's recurrence: a two-point Miller step gained
+18 % at (7,6) but lost 4 % at (20,5) and 135 % at (20,-2).
 
 ``_step(prev, cur, r)`` is one recursion step, (cur**r + 1) / prev, from and
-to carried values, so ``cluster._walk`` decodes nothing between steps;
-``_exchange`` is the same step on polynomials (carry, step, decode).  The
+to carried values, so ``cluster._walk`` decodes nothing between steps.  The
 power's last product, the ``+ 1`` and the division run at one size fixed
 before the step, from a bound that needs no positivity: no coefficient of
 cur**k, k <= r, exceeds ||cur||_1^(r-1) * max|cur|, and ``div_exact``'s
@@ -74,15 +90,22 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import comb, gcd
+from operator import itemgetter
 from typing import Callable, Mapping, Union
 
-from .carried import (Packed, _Carried, _carry, _carry_rows, _lead, _power_bits, _rows_at,
-                      _slots, _term_map, _trailing_zeros)
+from .carried import (Packed, _Carried, _carry, _carry_rows, _interleave, _lead, _power_bits,
+                      _rows_at, _slots, _split, _term_map, _trailing_zeros)
 from .errors import NonExactDivisionError, PoleError
 
 Exponents = tuple[int, int]
 Scalar = Union[int, "LaurentPoly2"]
 RENDER_FORMATS = ("plain", "latex", "json")
+# A row product takes the two-point path when the longest packed row of each
+# operand has at least this many bits.  Below it the splits and the second
+# loop cost more than the shorter multiplies save: on the recursion's rows the
+# two paths break even at about 3 kbit, and two points take a third less time
+# at 10 to 27 kbit.
+_TWO_POINT_BITS = 3072
 
 
 def _is_int(value: object) -> bool:
@@ -259,7 +282,8 @@ class LaurentPoly2:
         coefficients.  Both operands are carried once and re-slotted to each
         slot size, every row from its own lowest key; a dividend row is
         shifted to the dividend's lowest e2, and a divisor row after each
-        product it enters.  Quotient rows are found e1 ascending: the
+        product it enters.  Quotient rows are found e1 ascending, on the e1
+        lattice of both operands, where an exact quotient lies too: the
         dividend row, less what earlier quotient rows owe it, is divided by
         the divisor's lowest row, both without their low zero bits, in one
         ``divmod``, and the quotient row times each other divisor row is
@@ -385,22 +409,56 @@ def _decode(value: _Carried) -> LaurentPoly2:
     return LaurentPoly2._canonical(_term_map(value))
 
 
+def _row_products(a: Packed, b: Packed, shift: int) -> dict[int, int]:
+    """The row products of two lists of rows (e1, at, value), each value
+    times 2^(shift*at), summed per output row: {e1: int}.  A square (``a is
+    b``) takes each pair of distinct rows once, doubled."""
+    square = a is b
+    acc: dict[int, int] = {}
+    for i, (a1, sa, va) in enumerate(a):
+        for b1, sb, vb in a[i:] if square else b:
+            at = (sa + sb) * shift
+            if square and b1 != a1:
+                at += 1
+            acc[a1 + b1] = acc.get(a1 + b1, 0) + (va * vb << at)
+    return acc
+
+
+def _at_two_points(rows: Packed, size: int) -> tuple[Packed, Packed]:
+    """Packed rows x^at * A(x) at x = 2^b and at x = -2^b, b = 4*size: with E
+    and O the even and odd slots of A, each packed at ``size`` bytes,
+    E + O*2^b and (-1)^at * (E - O*2^b)."""
+    half = 4 * size
+    plus, minus = [], []
+    for (e1, at, _), (even, odd) in zip(rows, _split([value for _, _, value in rows], size)):
+        odd <<= half
+        plus.append((e1, at, even + odd))
+        minus.append((e1, at, odd - even if at & 1 else even - odd))
+    return plus, minus
+
+
 def _mul_packed(a: Packed, b: Packed, slot: int) -> dict[int, int]:
     """Multiply packed rows (``_rows_at``): {e1: int}, slot 0 at the sum of the bases.
 
     Row products are summed packed, one int per output row; each is shifted
     by the slots its two factors sit above their bases.  A square (``a is
     b``) takes each pair of distinct rows once, doubled.
+
+    When the longest row of each operand has ``_TWO_POINT_BITS`` bits or
+    more, the rows are multiplied at two points instead, each big-int
+    multiply half as long (see the module docstring); the result is the
+    same dict of ints whenever every coefficient c of the operands and of
+    the product has |c| < 2^(slot - 1), as every caller's slot size ensures.
     """
-    square = a is b
-    acc: dict[int, int] = {}
-    for i, (a1, sa, va) in enumerate(a):
-        for b1, sb, vb in a[i:] if square else b:
-            at = (sa + sb) * slot
-            if square and b1 != a1:
-                at += 1
-            acc[a1 + b1] = acc.get(a1 + b1, 0) + (va * vb << at)
-    return acc
+    value = itemgetter(2)
+    if any(max(map(int.bit_length, map(value, rows))) < _TWO_POINT_BITS for rows in (a, b)):
+        return _row_products(a, b, slot)
+    size, half = slot // 8, slot // 2
+    plus_a, minus_a = _at_two_points(a, size)
+    plus_b, minus_b = (plus_a, minus_a) if a is b else _at_two_points(b, size)
+    plus, minus = _row_products(plus_a, plus_b, half), _row_products(minus_a, minus_b, half)
+    halves = [((p + minus[e1]) >> 1, (p - minus[e1]) >> half + 1) for e1, p in plus.items()]
+    return dict(zip(plus, _interleave(halves, size)))
 
 
 def _times(a: _Carried, b: _Carried, terms: int) -> _Carried:
@@ -471,9 +529,9 @@ def _divide_packed(rows: list[int], count: int, lead: int, box_zeros: int, lead_
     ``rows[i]`` is the dividend row that quotient row i divides; the call
     uses the list up.  ``lead`` is the divisor's lowest row without its
     ``lead_zeros`` low zero bits, of which the first ``box_zeros`` are empty
-    slots.  ``others`` holds each other divisor row as (rows above the
-    lowest, shift in bits, packed value); a quotient row times each of them
-    is owed, packed, to a later row.
+    slots.  ``others`` holds each other divisor row as (places above the
+    lowest in the list of rows, shift in bits, packed value); a quotient row
+    times each of them is owed, packed, to a later row.
     """
     quotient = [0] * count
     for i in range(count):
@@ -541,12 +599,15 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, de
     first2, last2 = base + low * g - den_lo2, base + high * g - den_hi2
     if first1 > last1 or first2 > last2:
         raise NonExactDivisionError("divisor spans more exponents than the dividend")
+    # Only rows on the e1 lattice of both operands, step s1, are walked: every
+    # other dividend row is zero, and an exact quotient has none off it.
+    s1 = gcd(*(e1 - lo1 for e1 in live), *(d1 - den_lo1 for d1, _, _ in den.rows)) or 1
     # Then the bound on every exact quotient.
     proven = slot_size(last1 - first1 + (last2 - first2) // g
                        + num_bits + (num_terms.bit_length() + 1) // 2)
     while True:
         slot = 8 * size
-        rows = [acc.pop(e1, 0) >> low * slot for e1 in range(lo1, hi1 + 1)]
+        rows = [acc.pop(e1, 0) >> low * slot for e1 in range(lo1, hi1 + 1, s1)]
         # Divisor rows stay packed from their own lowest key, with the shift
         # that moves them to den_lo2, so that products stay short.
         others = []
@@ -554,10 +615,10 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, de
             if d1 == den_lo1:
                 lead, box_zeros = value >> twos, at * slot
             else:
-                others.append((d1 - den_lo1, at * slot, value))
-        packed = _divide_packed(rows, last1 - first1 + 1, lead, box_zeros, box_zeros + twos,
-                                others, inexact)
-        quotient = _carry_rows(enumerate(packed, first1), first2, g, size)
+                others.append(((d1 - den_lo1) // s1, at * slot, value))
+        packed = _divide_packed(rows, (last1 - first1) // s1 + 1, lead, box_zeros,
+                                box_zeros + twos, others, inexact)
+        quotient = _carry_rows(zip(range(first1, last1 + 1, s1), packed), first2, g, size)
         width = quotient.bits + den_bits + 1 + min(_slots(quotient), den_terms).bit_length()
         if width <= slot:
             return quotient
@@ -613,13 +674,3 @@ def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
 
     return _divide(pack, prev, _slots(prev), g, _power_bits(cur, r),
                    comb(_slots(cur) + r - 1, r) + 1)
-
-
-def _exchange(prev: LaurentPoly2, cur: LaurentPoly2, r: int) -> LaurentPoly2:
-    """One recursion step, ``(cur**r + 1).div_exact(prev)`` for r >= 1: the
-    two polynomials carried, ``_step``, and the quotient decoded."""
-    if prev.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if cur.is_zero():
-        return LaurentPoly2.one().div_exact(prev)
-    return _decode(_step(_carry(prev._terms), _carry(cur._terms), r))

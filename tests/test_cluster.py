@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank2cluster import cluster
+from rank2cluster import cluster, laurent
 from rank2cluster.caps import DEFAULT_MAX_EXPONENT
 from rank2cluster.cluster import (
     GVector,
@@ -423,6 +423,36 @@ ORACLE_HASHES = {
 def test_oracle_values_are_pinned(cell):
     terms = sorted(oracle(*cell).terms.items())
     assert hashlib.sha256(repr(terms).encode()).hexdigest() == ORACLE_HASHES[cell]
+
+
+def test_only_oracle_deep_requests_take_two_point_products(monkeypatch):
+    sizes = []
+    at_two_points = laurent._at_two_points
+
+    def spy(rows, size):
+        sizes.append(size)
+        return at_two_points(rows, size)
+
+    monkeypatch.setattr(laurent, "_at_two_points", spy)
+    # verify-sweep.
+    verify_range(2, 24)
+    verify_range(6, 9)
+    # formula-tall runs the formula engine only, at these cells and their mirrors.
+    for r, n in ((3, 7), (4, 6), (2, 18), (2, 17), (6, 5), (5, 5), (3, 6)):
+        cluster_variable(r, n)
+        cluster_variable(r, 3 - n)
+    # session-mix runs the oracle (expand --engine oracle or both) at most at
+    # every index n or 3 - n of a path of height d(n - 2) <= 10, r <= 6.
+    for r in range(2, 7):
+        n = 4
+        while _d(r, n - 2) <= 10:
+            oracle(r, n)
+            oracle(r, 3 - n)
+            n += 1
+    assert sizes == []
+    # oracle-deep: the last step of (3, 8) multiplies rows of 10 to 20 kbit.
+    oracle(3, 8)
+    assert sizes
 
 
 @pytest.mark.parametrize("r_max, sum_cap, caps, admitted", [

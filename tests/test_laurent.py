@@ -529,12 +529,119 @@ def test_bits_and_norm_read_from_the_bytes(case):
     assert carried._norm(value) == sum(map(abs, coeffs))
 
 
+@settings(deadline=None)
+@given(_signed_rows())
+@example((1, [[-127, 0, 127], [-1], [0, 5]]))
+def test_split_and_interleave_invert_each_other(case):
+    size, rows = case
+    values = [_packed(row, size) for row in rows]
+    halves = carried._split(values, size)
+    assert halves == [(_packed(row[::2], size), _packed(row[1::2], size)) for row in rows]
+    assert carried._interleave(halves, size) == values
+
+
 @given(kernel_polys.filter(bool))
 def test_carry_round_trips_a_polynomial(p):
     value = carried._carry(p.terms)
     assert carried._term_map(value) == p.terms
     assert value.bits == max(map(abs, p.terms.values())).bit_length()
     assert carried._norm(value) == sum(map(abs, p.terms.values()))
+
+
+# -- two-point row products -------------------------------------------------
+
+
+def _rows_of(p, q=None, g=None):
+    """(a, b, slot): the packed rows of p and q, at the slot size ``*`` gives
+    their product, as ``laurent._mul_packed`` receives them; q = None passes
+    the rows of p twice, as a square does.  Rows sit on the lattice step g,
+    by default the gcd of both operands' steps; a smaller one spreads them
+    through ``_rows_at``."""
+    a = carried._carry(p.terms)
+    b = a if q is None else carried._carry(q.terms)
+    g = g or math.gcd(a.g, b.g) or 1
+    size = -(-(a.bits + b.bits + 1 + min(len(p), len(q or p)).bit_length()) // 8)
+    rows = carried._rows_at(a, size, g)
+    return rows, rows if q is None else carried._rows_at(b, size, g), 8 * size
+
+
+@st.composite
+def _product_rows(draw):
+    p = draw(nonzero_kernel_polys)
+    q = None if draw(st.booleans()) else draw(nonzero_kernel_polys)
+    return _rows_of(p, q, draw(st.sampled_from([1, None])))
+
+
+def _mul_packed_at(two_points, a, b, slot):
+    """``laurent._mul_packed`` forced onto two points, or onto one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "_TWO_POINT_BITS", 0 if two_points else math.inf)
+        if not two_points:
+            patch.setattr(laurent, "_at_two_points", _refuse)
+        return laurent._mul_packed(a, b, slot)
+
+
+@settings(deadline=None)
+@given(_product_rows())
+# Middle coefficients of these squares use every bit of their slots.
+@example(_rows_of(_full_slots(8, 255, -1)))
+@example(_rows_of(_full_slots(300, 255, 1)))
+# One-slot rows at odd and even offsets, and a one-slot row times a long one.
+@example(_rows_of(X1 * X2**3 - 2 * X2**4 + 5, X1**2 * X2 + 7 * X2**2))
+@example(_rows_of(-(2**70) * X2**3, _full_slots(9, 20, -1)))
+def test_two_point_row_products_equal_one_point_ones(case):
+    a, b, slot = case
+    assert _mul_packed_at(True, a, b, slot) == _mul_packed_at(False, a, b, slot)
+
+
+@settings(deadline=None)
+@given(kernel_polys, kernel_polys, st.integers(min_value=0, max_value=7))
+@example(_full_slots(8, 254, -1), _full_slots(7, 3, 1), 2)
+def test_mul_and_pow_at_two_points_match_reference(p, q, k):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "_TWO_POINT_BITS", 0)
+        assert p * q == reference_mul(p, q)
+        assert p**k == reference_pow(p, k)
+
+
+def _row_product_points(monkeypatch) -> list:
+    """One entry per ``laurent._mul_packed`` call, in call order: True when
+    it took two points."""
+    taken = []
+    mul_packed, at_two_points = laurent._mul_packed, laurent._at_two_points
+
+    def mul(a, b, slot):
+        taken.append(False)
+        return mul_packed(a, b, slot)
+
+    def two_points(rows, size):
+        taken[-1] = True
+        return at_two_points(rows, size)
+
+    monkeypatch.setattr(laurent, "_mul_packed", mul)
+    monkeypatch.setattr(laurent, "_at_two_points", two_points)
+    return taken
+
+
+@pytest.mark.parametrize("r, n, taken", [
+    # The largest cells of the verify-sweep benchmark that power by squares,
+    # with rows of at most 1.2 kbit.
+    (2, 22, [False]), (2, -19, [False]), (3, -3, [False, False]), (5, 4, [False] * 3),
+    # Rows of up to 2.4 kbit.
+    (2, 30, [False]), (2, -26, [False]), (3, -4, [False, False]),
+    # x_7**3 at r = 3 multiplies rows of 6.6, 10 and 20 kbit, and x_6**4 at
+    # r = 4 rows of 6.7 and 27 kbit.
+    (3, 8, [True, True]), (4, 7, [True, True]),
+])
+def test_the_last_step_takes_two_points_exactly_when_its_rows_are_long(monkeypatch, r, n, taken):
+    # Every row product of the step, the step's own last one included.
+    downward = n <= 0
+    start = [X2, X1] if downward else [X1, X2]
+    walked = islice(_walk(r, downward), (3 - n if downward else n) - 2)
+    *_, prev, cur, last = start + [laurent._decode(value) for value in walked]
+    products = _row_product_points(monkeypatch)
+    assert _exchange(prev, cur, r) == last
+    assert products == taken
 
 
 # -- the recursion step ------------------------------------------------------
@@ -561,7 +668,17 @@ def _one_term_tops(draw):
 
 
 def _refuse(*args):
-    raise AssertionError("the other power path ran")
+    raise AssertionError("a refused path ran")
+
+
+def _exchange(prev, cur, r):
+    """One recursion step on polynomials, ``(cur**r + 1).div_exact(prev)`` for
+    r >= 1: the two polynomials carried, ``laurent._step``, the quotient decoded."""
+    if prev.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if cur.is_zero():
+        return ONE.div_exact(prev)
+    return laurent._decode(laurent._step(carried._carry(prev.terms), carried._carry(cur.terms), r))
 
 
 def _check_exchange(prev, cur, r, power=pow):
@@ -569,10 +686,10 @@ def _check_exchange(prev, cur, r, power=pow):
         expected = (power(cur, r) + 1).div_exact(prev)
     except (NonExactDivisionError, ZeroDivisionError) as exc:
         with pytest.raises(type(exc)) as raised:
-            laurent._exchange(prev, cur, r)
+            _exchange(prev, cur, r)
         assert str(raised.value) == str(exc)
     else:
-        assert laurent._exchange(prev, cur, r) == expected
+        assert _exchange(prev, cur, r) == expected
 
 
 # One-term top rows (Miller's recurrence) over a monomial, so the quotient is
@@ -623,7 +740,7 @@ def test_exchange_by_miller_matches_pow_plus_one_div_exact(case, prev):
 def test_the_step_powers_by_miller_exactly_when_j_is_at_most_r(monkeypatch, cur, r, unused):
     expected = reference_pow(cur, r) + 1
     monkeypatch.setattr(laurent, unused, _refuse)
-    assert laurent._exchange(X1, cur, r) * X1 == expected
+    assert _exchange(X1, cur, r) * X1 == expected
 
 
 @pytest.mark.parametrize("r, n, unused", [
@@ -639,7 +756,24 @@ def test_the_last_step_powers_by_miller_exactly_when_the_rule_holds(monkeypatch,
     walked = islice(_walk(r, downward), (3 - n if downward else n) - 2)
     *_, prev, cur, last = start + [laurent._decode(value) for value in walked]
     monkeypatch.setattr(laurent, unused, _refuse)
-    assert laurent._exchange(prev, cur, r) == last
+    assert _exchange(prev, cur, r) == last
+
+
+def test_the_division_walks_only_the_e1_lattice(monkeypatch):
+    # Down from x_1 at r = 20 every value has its e1 keys 20 apart.  The last
+    # step's dividend x_-1**20 + 1 spans 8 000 e1 values but has only 401
+    # rows, and those are all the rows its division receives.
+    received = []
+    divide_packed = laurent._divide_packed
+
+    def spy(rows, count, *rest):
+        received.append((len(rows), sum(map(bool, rows)), count))
+        return divide_packed(rows, count, *rest)
+
+    monkeypatch.setattr(laurent, "_divide_packed", spy)
+    for _ in islice(_walk(20, downward=True), 3):  # x_0, x_-1, x_-2
+        pass
+    assert received == [(2, 2, 2), (21, 21, 21), (401, 401, 400)]
 
 
 def test_exchange_retries_when_the_quotient_outgrows_the_dividend(monkeypatch):
@@ -648,7 +782,7 @@ def test_exchange_retries_when_the_quotient_outgrows_the_dividend(monkeypatch):
     # The step re-slots its carried operands to each slot size it divides at.
     prev, cur, quotient = (1 - X2) ** 40, (1 - X2**3) ** 40 - 1, (1 + X2 + X2**2) ** 40
     sizes = _spy_sizes(monkeypatch)
-    assert laurent._exchange(prev, cur, 1) == quotient
+    assert _exchange(prev, cur, 1) == quotient
     assert len(set(sizes)) == 2
 
 
