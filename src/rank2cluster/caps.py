@@ -25,7 +25,7 @@ MAX_ASCII_CELLS = 5 * 10**7
 # Largest d(n-1) + d(n-2), the path's edges plus its distinguished vertices,
 # that ``path --json``, ``--svg`` and ``--tikz`` build.  Every path admitted at
 # DEFAULT_MAX_EXPONENT fits: its d(n-1) is at most 10**6.  The largest,
-# (2,1000002) with 1 999 999, takes 0.8 s and 181 MB peak RSS for --json,
-# 2.0 s and 476 MB for --tikz and 4.7 s and 868 MB for --svg (2-core Linux
+# (2,1000002) with 1 999 999, takes 0.5 s and 83 MB peak RSS for --json,
+# 2.3 s and 477 MB for --tikz and 4.0 s and 855 MB for --svg (2-core Linux
 # host, Python 3.11.7); (2,1000003) is refused when --max-exponent admits it.
 MAX_PATH_SIZE = 2 * 10**6

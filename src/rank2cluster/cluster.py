@@ -247,9 +247,9 @@ def euler_table(
         index, max_e1, max_e2 = 3 - n, e_total, h_total
     else:
         index, max_e1, max_e2 = n, h_total, e_total
-    source = f_polynomial(r, index, config_budget, max_exponent).swap_vars()
+    terms = f_polynomial(r, index, config_budget, max_exponent)._terms
     entries = {
-        (e1, e2): source.coefficient(e1, e2)
+        (e1, e2): terms.get((e2, e1), 0)
         for e1 in range(max_e1 + 1)
         for e2 in range(max_e2 + 1)
     }

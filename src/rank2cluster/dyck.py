@@ -5,7 +5,7 @@ Geometry conventions used throughout the package:
 * The rectangle for parameters (r, n) has width ``d(n-1) - d(n-2)`` and
   height ``d(n-2)``, where ``d`` is the dimension sequence defined by
   ``d(1) = 0, d(2) = 1, d(k) = r*d(k-1) - d(k-2)``.
-* Edges are numbered 1..len(word) along the path; vertex ``w_i`` is the
+* Edges are numbered 1..n_edges along the path; vertex ``w_i`` is the
   lattice point reached after ``i`` edges (so ``w_0`` is the origin).
 * ``v_j`` is the upper endpoint of the j-th north edge, with ``v_0`` the
   origin; ``v_index[j]`` is the edge position of that north edge (0 for j=0).
@@ -24,7 +24,9 @@ and every classifier reads that one table.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 from .caps import DEFAULT_MAX_EXPONENT
 from .errors import ExponentOverflowError
@@ -122,70 +124,66 @@ class ColoredSubpath:
 
 @dataclass(frozen=True, slots=True)
 class DyckPath:
-    """The maximal Dyck path for parameters (r, n)."""
+    """The maximal Dyck path for parameters (r, n), held as its distinguished vertices.
+
+    ``v_index`` fixes the path: it runs east from v_(j-1) to x_j = v_index[j] - j
+    and then north to v_j, and after v_height east to ``width``.  The word,
+    the lattice points and the edge count are derived from it when read.
+    """
 
     r: int
     n: int
     width: int
     height: int
-    word: str
-    vertex_coords: tuple[tuple[int, int], ...]
     v_index: tuple[int, ...]
     dims: DimSequence
 
+    def _rows(self) -> Iterator[tuple[int, int]]:
+        """(x where the path enters row y, x where it leaves it) for y = 0..height."""
+        # Lazy: a list of every x_j would outlive its use in the allocator and
+        # raised the peak RSS of ``path --svg`` at (2,1000002) by 14 MB.
+        xs = (position - y for y, position in enumerate(self.v_index))
+        return pairwise(chain(xs, (self.width,)))
+
     @property
     def n_edges(self) -> int:
-        return len(self.word)
+        return self.width + self.height
+
+    @property
+    def word(self) -> str:
+        """The path over {E, N}, one letter per edge; O(n_edges) on each read."""
+        return "N".join("E" * (end - start) for start, end in self._rows())
+
+    @property
+    def vertex_coords(self) -> tuple[tuple[int, int], ...]:
+        """The lattice points w_0..w_(n_edges) along the path; O(n_edges) on each read."""
+        return tuple([(x, y) for y, (start, end) in enumerate(self._rows())
+                      for x in range(start, end + 1)])
 
     def vertex(self, j: int) -> tuple[int, int]:
         """Coordinates of v_j, 0 <= j <= height."""
-        return self.vertex_coords[self.v_index[j]]
+        return self.v_index[j] - j, j
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "n": self.n, "word": self.word, "v_index": list(self.v_index)}
 
 
 def build_path(r: int, n: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> DyckPath:
-    """Construct the unique maximal Dyck path for (r, n), n >= 3.
+    """Construct the unique maximal Dyck path for (r, n), n >= 3, in O(height).
 
-    Greedy walk from the origin: take a north step whenever the resulting
-    vertex stays on or below the diagonal (y*width <= x*height, exact integer
-    comparison), otherwise an east step.  The resulting word equals the lower
-    Christoffel word of slope height/width.
+    The path steps north whenever the vertex it reaches stays on or below the
+    diagonal (y*width <= x*height), else east, so v_j sits at the least such
+    x: x_j = ceil(j*width/height), an exact integer division, and
+    v_index[j] = j + x_j.  Its word is the lower Christoffel word of slope
+    height/width.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     dims = dim_sequence(r, n - 1, max_exponent=max_exponent)
     width = dims.value(n - 1) - dims.value(n - 2)
     height = dims.value(n - 2)
-
-    word_chars: list[str] = []
-    coords: list[tuple[int, int]] = [(0, 0)]
-    v_index: list[int] = [0]
-    x = y = 0
-    for position in range(1, width + height + 1):
-        if (y + 1) * width <= x * height:
-            y += 1
-            word_chars.append("N")
-            v_index.append(position)
-        else:
-            x += 1
-            word_chars.append("E")
-        coords.append((x, y))
-
-    path = DyckPath(
-        r=r,
-        n=n,
-        width=width,
-        height=height,
-        word="".join(word_chars),
-        vertex_coords=tuple(coords),
-        v_index=tuple(v_index),
-        dims=dims,
-    )
-    assert path.n_edges == dims.value(n - 1)
-    assert len(path.v_index) == height + 1
-    return path
+    v_index = (0,) + tuple(j - (-j * width // height) for j in range(1, height + 1))
+    return DyckPath(r=r, n=n, width=width, height=height, v_index=v_index, dims=dims)
 
 
 def green_table(path: DyckPath) -> dict[int, tuple[int, int, int]]:

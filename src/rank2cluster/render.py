@@ -17,13 +17,6 @@ _SVG_PAD = 24
 _OVERLAY_COLORS = {Color.BLUE: "#1f4fd8", Color.GREEN: "#1d8a34", Color.RED: "#d11f1f"}
 
 
-def edge_endpoints(path: DyckPath, position: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Lattice endpoints of the edge at a 1-based position along the path."""
-    if not 1 <= position <= path.n_edges:
-        raise ValueError(f"edge position {position} outside 1..{path.n_edges}")
-    return path.vertex_coords[position - 1], path.vertex_coords[position]
-
-
 def describe_overlay(overlay: ColoredSubpath) -> str:
     span = f"edges {overlay.edge_span[0]}..{overlay.edge_span[1]}"
     if overlay.color is Color.GREEN:
@@ -54,13 +47,14 @@ def ascii_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
     """
     width, height = path.width, path.height
     check_ascii_grid(width, height)
+    lattice = path.vertex_coords
     rows = [[" "] * (2 * width + 1) for _ in range(2 * height + 1)]
 
     def put_point(x: int, y: int, ch: str) -> None:
         rows[2 * (height - y)][2 * x] = ch
 
     def put_edge(position: int, east_ch: str, north_ch: str) -> None:
-        (x0, y0), (x1, y1) = edge_endpoints(path, position)
+        (x0, y0), (x1, y1) = lattice[position - 1], lattice[position]
         if y1 == y0:
             rows[2 * (height - y0)][2 * x0 + 1] = east_ch
         else:
@@ -108,6 +102,7 @@ def svg_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
     def points(coords) -> str:
         return " ".join(f"{px(x)},{py(y)}" for x, y in coords)
 
+    lattice = path.vertex_coords
     total_w = 2 * _SVG_PAD + _SVG_UNIT * width
     total_h = 2 * _SVG_PAD + _SVG_UNIT * height
     parts = [
@@ -126,7 +121,7 @@ def svg_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
         'stroke="#888888" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<polyline points="{points(path.vertex_coords)}" '
+        f'<polyline points="{points(lattice)}" '
         'fill="none" stroke="#000000" stroke-width="4"/>'
     )
     if overlay is not None:
@@ -134,13 +129,13 @@ def svg_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
         color = _OVERLAY_COLORS[overlay.color]
         parts.append(f"<!-- {describe_overlay(overlay)} -->")
         parts.append(
-            f'<polyline points="{points(path.vertex_coords[lo - 1 : hi + 1])}" '
+            f'<polyline points="{points(lattice[lo - 1 : hi + 1])}" '
             f'fill="none" stroke="{color}" stroke-width="6"/>'
         )
         if overlay.window is not None:
             wlo, whi = overlay.window
             parts.append(
-                f'<polyline points="{points(path.vertex_coords[wlo - 1 : whi + 1])}" '
+                f'<polyline points="{points(lattice[wlo - 1 : whi + 1])}" '
                 'fill="none" stroke="#e6a100" stroke-width="6" stroke-dasharray="6,4"/>'
             )
     for j in range(height + 1):
@@ -159,16 +154,17 @@ def tikz_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
         f"  \\draw[gray!40,very thin] (0,0) grid ({width},{height});",
         f"  \\draw[gray] (0,0) -- ({width},{height});",
     ]
-    coords = " -- ".join(f"({x},{y})" for x, y in path.vertex_coords)
+    lattice = path.vertex_coords
+    coords = " -- ".join(f"({x},{y})" for x, y in lattice)
     parts.append(f"  \\draw[line width=1.6pt] {coords};")
     if overlay is not None:
         parts.append(f"  % {describe_overlay(overlay)}")
         lo, hi = overlay.edge_span
-        span = " -- ".join(f"({x},{y})" for x, y in path.vertex_coords[lo - 1 : hi + 1])
+        span = " -- ".join(f"({x},{y})" for x, y in lattice[lo - 1 : hi + 1])
         parts.append(f"  \\draw[line width=2.4pt,{overlay.color.value}] {span};")
         if overlay.window is not None:
             wlo, whi = overlay.window
-            window = " -- ".join(f"({x},{y})" for x, y in path.vertex_coords[wlo - 1 : whi + 1])
+            window = " -- ".join(f"({x},{y})" for x, y in lattice[wlo - 1 : whi + 1])
             parts.append(f"  \\draw[line width=2pt,orange,dashed] {window};")
     for j in range(height + 1):
         x, y = path.vertex(j)

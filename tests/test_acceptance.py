@@ -145,8 +145,9 @@ def test_criterion_6_christoffel_and_maximality():
             assert path.word == lower_christoffel_word(path.height, path.width), (
                 f"word mismatch at {(r, n)}"
             )
+            lattice = path.vertex_coords
             for position, letter in enumerate(path.word):
-                x, y = path.vertex_coords[position]
+                x, y = lattice[position]
                 assert y * path.width <= x * path.height
                 if letter == "E":
                     assert (y + 1) * path.width > x * path.height, (

@@ -31,6 +31,22 @@ def test_expand_both_engines_agree(capsys):
     assert "DIFF" not in out
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_expand_both_engines_report_a_mismatch(capsys, monkeypatch, tmp_path, to_file):
+    # A changed oracle value: exit 3 with DIFF and both renderings, on stdout or in --out.
+    x5 = LaurentPoly2(X5_R3_TERMS)
+    monkeypatch.setattr(cli.cluster, "oracle", lambda r, n, max_exponent: x5 + 1)
+    target = tmp_path / "diff.txt"
+    argv = ["expand", "--r", "3", "--n", "5", "--engine", "both"]
+    code, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    expected = f"DIFF\nformula: {x5.render('plain')}\noracle: {(x5 + 1).render('plain')}\n"
+    assert (code, err) == (3, "")
+    if to_file:
+        assert (out, target.read_text()) == ("", expected)
+    else:
+        assert out == expected
+
+
 def test_expand_oracle_r1(capsys):
     code, out, _ = run(capsys, "expand", "--r", "1", "--n", "6", "--engine", "oracle")
     assert code == 0
@@ -292,6 +308,16 @@ def test_path_svg_and_tikz(capsys):
     assert code == 0
     assert out.startswith("% r=3 n=5")
     assert "\\begin{tikzpicture}" in out
+    # alpha(1,3) is green with window edge 3, from w_2 = (2,0) to w_3 = (2,1).
+    code, out, _ = run(capsys, "path", "--r", "3", "--n", "5", "--tikz", "--overlay", "1,3")
+    assert code == 0
+    assert out.splitlines()[4:8] == [
+        "  \\draw[line width=1.6pt] (0,0) -- (1,0) -- (2,0) -- (2,1) -- (3,1) -- (4,1) -- (4,2) "
+        "-- (5,2) -- (5,3);",
+        "  % overlay alpha(1,3): green (m=3, w=1) edges 4..8 window 3..3",
+        "  \\draw[line width=2.4pt,green] (2,1) -- (3,1) -- (4,1) -- (4,2) -- (5,2) -- (5,3);",
+        "  \\draw[line width=2pt,orange,dashed] (2,0) -- (2,1);",
+    ]
 
 
 def test_path_ascii_grid_cap_is_inclusive(capsys, monkeypatch):

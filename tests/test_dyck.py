@@ -113,9 +113,10 @@ def test_path_stays_on_or_below_diagonal(cell):
 def test_maximality_at_every_east_step(cell):
     # Wherever the path goes east, the north neighbor is strictly above the diagonal.
     path = build_path(*cell)
+    lattice = path.vertex_coords
     for position, letter in enumerate(path.word):
         if letter == "E":
-            x, y = path.vertex_coords[position]
+            x, y = lattice[position]
             assert (y + 1) * path.width > x * path.height
 
 
@@ -123,6 +124,23 @@ def test_maximality_at_every_east_step(cell):
 def test_word_is_lower_christoffel(cell):
     path = build_path(*cell)
     assert path.word == lower_christoffel_word(path.height, path.width)
+
+
+@pytest.mark.parametrize("r, n", [(2, 10**5), (3, 14), (4, 10), (5, 8), (6, 8)])
+def test_derived_word_and_lattice_points_on_larger_cells(r, n):
+    # The path keeps only v_index; its word, lattice points and vertices are
+    # read back from it and must match the Christoffel word and a walk of it.
+    path = build_path(r, n)
+    word = path.word
+    assert word == lower_christoffel_word(path.height, path.width)
+    assert path.v_index == (0, *(p + 1 for p, letter in enumerate(word) if letter == "N"))
+    walk = [(0, 0)]
+    for letter in word:
+        x, y = walk[-1]
+        walk.append((x + 1, y) if letter == "E" else (x, y + 1))
+    assert path.vertex_coords == tuple(walk)
+    assert [path.vertex(j) for j in range(path.height + 1)] == [walk[p] for p in path.v_index]
+    assert path.n_edges == len(word) == path.dims.value(n - 1)
 
 
 def test_slope_exceeds_worked_example():
