@@ -17,6 +17,12 @@ half-slot offset 2^(8*min(s, S) - 1) in every slot is then the row packed
 at S, exact for signed slots whenever every |c| is below that offset.  When
 the lattice step shrinks by a factor f, the copies land f slots apart.
 
+Every slot size of the kernel comes from one rule, ``_slot_bytes(bits,
+terms)`` = ceil((bits + 1 + bits(terms)) / 8): the bytes that hold any sum
+of at most ``terms`` products whose factors' largest coefficients take
+``bits`` bits together, plus a sign bit.  ``_carry`` calls it with no
+products, and ``laurent`` for every product and quotient.
+
 The two-point row product of ``laurent`` (for long rows; division and
 Miller's recurrence stay one-point, see ``laurent``) moves slots the same
 way.  ``_split`` cuts packed rows into their even and odd slots, and
@@ -68,6 +74,14 @@ class _Carried:
             data, rows, base, g, size, bits)
 
 
+def _slot_bytes(bits: int, terms: int = 0) -> int:
+    """The slot size of the one slot rule, ceil((bits + 1 + bits(terms)) / 8)
+    bytes: any sum of at most ``terms`` products whose factors' largest
+    coefficients take ``bits`` bits together, and a sign bit (terms = 0: one
+    coefficient of ``bits`` bits)."""
+    return -(-(bits + 1 + terms.bit_length()) // 8)
+
+
 def _carry(terms: Mapping[tuple[int, int], int]) -> _Carried:
     """A nonzero canonical term map {(e1, e2): coeff} carried at the fewest
     bytes a slot that hold its coefficients, on the gcd of its e2 differences."""
@@ -76,7 +90,7 @@ def _carry(terms: Mapping[tuple[int, int], int]) -> _Carried:
         rows.setdefault(e1, {})[e2] = coeff
     lo = min(e2 for _, e2 in terms)
     g = gcd(*(e2 - lo for _, e2 in terms)) or 1
-    size = max(map(abs, terms.values())).bit_length() // 8 + 1
+    size = _slot_bytes(max(map(abs, terms.values())).bit_length())
     half, zero = 1 << 8 * size - 1, bytes(size - 1) + b"\x80"
     chunks = []
     for e1 in sorted(rows):
@@ -189,24 +203,6 @@ def _norm(value: _Carried) -> int:
     return sum(sum(magnitudes[k::size]) << 8 * k for k in range(-(-value.bits // 8)))
 
 
-def _power_bits(value: _Carried, k: int) -> int:
-    """Bits that hold every coefficient of value**j, j <= k, plus one: none
-    exceeds ||value||_1^(k-1) * max|value|, whatever the signs."""
-    return (_norm(value) ** (k - 1)).bit_length() + value.bits
-
-
-def _reslot(data: bytes, old: int, size: int, width: int) -> bytearray:
-    """Carried slots of ``old`` bytes moved to ``size`` bytes, ``width`` bytes
-    apart, by strided byte copies.  A slot then holds
-    c + 2^(8*min(old, size) - 1), exact whenever |c| is below that offset."""
-    out = bytearray(len(data) // old * width)
-    for k in range(min(old, size)):
-        out[k::width] = data[k::old]
-    if size < old:
-        out[size - 1::width] = out[size - 1::width].translate(_FLIP)
-    return out
-
-
 def _offset_joined(values: list[int], counts: list[int], size: int) -> bytes:
     """Signed packed ints as carried slots joined in one buffer, ``counts[i]``
     slots of ``size`` bytes for ``values[i]``."""
@@ -263,12 +259,20 @@ def _rows_at(value: _Carried, size: int, g: int) -> Packed:
     """The rows of a carried value packed at ``size`` bytes a slot on the
     lattice step g, which divides the value's: (e1, slots from its base, row).
 
-    Exact whenever every |c| < 2^(8*min(size, value.size) - 1).
+    Exact whenever every |c| < 2^(8*min(size, value.size) - 1): the slots
+    move by strided byte copies, ``width`` bytes apart, each then holding
+    c + 2^(8*min(size, value.size) - 1).
     """
     data, old = value.data, value.size
     spread = value.g // g if value.g else 1
     width = size * spread
-    out = data if (size, spread) == (old, 1) else _reslot(data, old, size, width)
+    out = data
+    if (size, spread) != (old, 1):
+        out = bytearray(len(data) // old * width)
+        for k in range(min(old, size)):
+            out[k::width] = data[k::old]
+        if size < old:
+            out[size - 1::width] = out[size - 1::width].translate(_FLIP)
     longest = max(count for _, _, count in value.rows)
     half = bytearray(longest * width)
     half[min(old, size) - 1::width] = b"\x80" * longest

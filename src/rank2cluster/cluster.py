@@ -8,8 +8,8 @@ Two independent routes compute the same expansions:
 
 * ``oracle`` iterates the recursion with exact Laurent division (forward for
   indices above 2, backward below 1).  Exact division doubles as a built-in
-  Laurentness assertion.  ``_walk`` writes the recursion step once; the
-  oracle takes one value from it.
+  Laurentness assertion.  The walk is ``laurent._walk``, beside the
+  recursion step it repeats; the oracle takes one value from it.
 * ``cluster_variable`` assembles the expansion from the Dyck-path generating
   polynomial of x_n, n = max(index, 3 - index) >= 3, and mirrors it through
   ``swap_vars`` for indices <= 0.  Indices 1 and 2 return the generators.
@@ -28,7 +28,6 @@ step exists: ``max_exponent`` caps d(n), x_n's largest exponent, and
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -37,8 +36,7 @@ from .caps import DEFAULT_CONFIG_BUDGET, DEFAULT_MAX_EXPONENT
 from .combinat import check_budget, generating_poly
 from .dyck import DimSequence, build_path, dim_sequence
 from .errors import ConfigBudgetError, ExponentOverflowError
-from .carried import _Carried, _carry
-from .laurent import LaurentPoly2, _decode, _step
+from .laurent import LaurentPoly2, _decode, _walk
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,24 +86,6 @@ def _admit(r: int, index: int, max_exponent: int) -> DimSequence:
     d(n) is its largest exponent.  Raises ``ValueError`` when r < 2.
     """
     return dim_sequence(r, max(index, 3 - index), max_exponent=max_exponent)
-
-
-def _walk(r: int, downward: bool) -> Iterator[_Carried]:
-    """x_3, x_4, ... (x_0, x_-1, ... when ``downward``), one recursion step per
-    value, each carried packed (``carried._Carried``; ``laurent._decode``
-    turns one into a polynomial).
-
-    Holds only the last two values.  Downward, x_{m-1} = (x_m^r + 1) / x_{m+1}:
-    the same recursion started from (x2, x1) instead of (x1, x2).  Each step
-    is ``laurent._step``, which packs x_m^r + 1 once and hands its quotient
-    to the next step still packed, so no value is decoded inside the walk.
-    """
-    prev, cur = _carry({(1, 0): 1}), _carry({(0, 1): 1})  # x1, x2
-    if downward:
-        prev, cur = cur, prev
-    while True:
-        prev, cur = cur, _step(prev, cur, r)
-        yield cur
 
 
 def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> LaurentPoly2:

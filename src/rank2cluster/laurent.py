@@ -29,17 +29,18 @@ products of two lists of packed rows, one int per output row, and
 ``divmod`` per quotient row, e1 ascending on the e1 lattice of both operands,
 each quotient row times the divisor's other rows owed, still packed, to later
 rows.  Each operation re-slots its carried operands to its own slot size,
-calls a primitive and carries the result.  A product (``_times``, for ``*``
-and each product of ``**``) sizes a slot for the largest sum it can receive:
-the bits of the largest factors, plus the bits of the number of products
-summed, plus a sign bit, rounded up to bytes.  Where a term count is not
-known, a slot count stands for it.  ``div_exact`` (through ``_divide``)
-checks the bits of the carried quotient to prove that no slot overflowed, and
-when the check fails retries once at a slot size that holds every exact
-quotient (a Mignotte bound), so every call ends after at most two sizes.  The
-quotient's exponents lie in the box min(dividend) - min(divisor) ..
-max(dividend) - max(divisor), and a non-exact division raises
-``NonExactDivisionError``.
+calls a primitive and carries the result.  Every slot size comes from one
+rule, ``carried._slot_bytes(bits, terms)``: the bits of the largest factors,
+plus the bits of the number of products summed, plus a sign bit, rounded up
+to bytes.  A product (``_times``, for ``*`` and each product of ``**``) sizes
+a slot for the largest sum it can receive; where a term count is not known,
+a slot count stands for it.  ``div_exact`` (through ``_divide``) checks the
+bits of the carried quotient against the same rule to prove that no slot
+overflowed, and when the check fails retries once at a slot size that holds
+every exact quotient (a Mignotte bound), so every call ends after at most
+two sizes.  The quotient's exponents lie in the box min(dividend) -
+min(divisor) .. max(dividend) - max(divisor), and a non-exact division
+raises ``NonExactDivisionError``.
 
 Long rows multiply at two points (Harvey's multipoint Kronecker
 substitution).  A row x^at * A(x) is packed at x = 2^S, S = 8*size; with E
@@ -58,13 +59,14 @@ cannot be split.  So does Miller's recurrence: a two-point Miller step gained
 18 % at (7,6) but lost 4 % at (20,5) and 135 % at (20,-2).
 
 ``_step(prev, cur, r)`` is one recursion step, (cur**r + 1) / prev, from and
-to carried values, so ``cluster._walk`` decodes nothing between steps.  The
-power's last product, the ``+ 1`` and the division run at one size fixed
-before the step, from a bound that needs no positivity: no coefficient of
-cur**k, k <= r, exceeds ||cur||_1^(r-1) * max|cur|, and ``div_exact``'s
-first size adds bits(#prev) + 2.  So cur**r + 1 is packed once and never
-decoded, and the quotient keeps every safeguard of ``div_exact``.  The power
-takes one of two paths, chosen from the rows of ``cur`` alone:
+to carried values, so ``_walk``, which repeats it, decodes nothing between
+steps.  The power's last product, the ``+ 1`` and the division run at one
+size fixed before the step, from a bound that needs no positivity: no
+coefficient of cur**k, k <= r, exceeds ||cur||_1^(r-1) * max|cur|, and
+``div_exact``'s first size adds bits(#prev) + 2.  So cur**r + 1 is packed
+once and never decoded, and the quotient keeps every safeguard of
+``div_exact``.  The power takes one of two paths, chosen from the rows of
+``cur`` alone:
 
 - Miller's recurrence (``_miller``) when r >= 2, the top row (largest e1, t)
   is one term c*x1^t*x2^a, and the rows below span J <= r steps of their e1
@@ -91,10 +93,10 @@ import json
 from fractions import Fraction
 from math import comb, gcd
 from operator import itemgetter
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
-from .carried import (Packed, _Carried, _carry, _carry_rows, _interleave, _lead, _power_bits,
-                      _rows_at, _slots, _split, _term_map, _trailing_zeros)
+from .carried import (Packed, _Carried, _carry, _carry_rows, _interleave, _lead, _norm, _rows_at,
+                      _slot_bytes, _slots, _split, _term_map, _trailing_zeros)
 from .errors import NonExactDivisionError, PoleError
 
 Exponents = tuple[int, int]
@@ -266,8 +268,7 @@ class LaurentPoly2:
             return LaurentPoly2.one()
         if k == 1 or not self:
             return self
-        a, b = _last_factors(_carry(self._terms), k)
-        return _decode(_times(a, b, min(_slots(a), _slots(b))))
+        return _decode(_times(*_last_factors(_carry(self._terms), k)))
 
     def div_exact(self, divisor: Scalar) -> "LaurentPoly2":
         """Exact division: return t with t * divisor == self; ints coerce as for ``*``.
@@ -290,11 +291,11 @@ class LaurentPoly2:
         owed to a later row.  Owed values stay packed; the quotient
         rows are carried, then decoded once, at the end.
 
-        A slot size is checked on the carried quotient's bytes: when
-        bits(max|t|) + bits(max|divisor|) + bits(min(#t, #divisor)) + 1 and
-        bits(max|self|) + 1 both fit a slot, t * divisor and self pack to the
-        same ints with every slot in range, so they are equal term for term.
-        The term counts are bounded by slot counts.
+        A slot size is checked on the carried quotient's bytes: when it is at
+        least ``_slot_bytes(bits(max|t|) + bits(max|divisor|), min(#t,
+        #divisor))`` and ``_slot_bytes(bits(max|self|))``, t * divisor and
+        self pack to the same ints with every slot in range, so they are equal
+        term for term.  The term counts are bounded by slot counts.
         The first size leaves bits(max|self|) + 1 for the largest product
         coefficient, enough unless the product cancels there (the recursion's
         coefficients are positive).  When its check fails the division is
@@ -461,17 +462,19 @@ def _mul_packed(a: Packed, b: Packed, slot: int) -> dict[int, int]:
     return dict(zip(plus, _interleave(halves, size)))
 
 
-def _times(a: _Carried, b: _Carried, terms: int) -> _Carried:
+def _times(a: _Carried, b: _Carried, terms: int | None = None) -> _Carried:
     """The product of two nonzero carried values, carried; a square (``a is
     b``) re-slots once.
 
-    A slot has bits(max|a|) + bits(max|b|) + bits(terms) + 1 bits, rounded up
-    to bytes: an output coefficient sums at most one product per term of the
-    smaller operand, which has at most ``terms`` terms, and the last bit is
-    the sign.
+    A slot has ``_slot_bytes(bits(max|a|) + bits(max|b|), terms)`` bytes: an
+    output coefficient sums at most one product per term of the smaller
+    operand, which has at most ``terms`` terms.  Without ``terms`` the
+    smaller slot count stands for it.
     """
     g = gcd(a.g, b.g) or 1
-    size = -(-(a.bits + b.bits + 1 + terms.bit_length()) // 8)
+    if terms is None:
+        terms = min(_slots(a), _slots(b))
+    size = _slot_bytes(a.bits + b.bits, terms)
     rows = _rows_at(a, size, g)
     product = _mul_packed(rows, rows if a is b else _rows_at(b, size, g), 8 * size)
     return _carry_rows(sorted(product.items()), a.base + b.base, g, size)
@@ -485,15 +488,12 @@ def _last_factors(base: _Carried, k: int) -> tuple[_Carried, _Carried]:
     Every earlier product is made by ``_times``, each at its own slot size,
     and stays carried; slot counts stand for term counts.
     """
-    def times(a: _Carried, b: _Carried) -> _Carried:
-        return _times(a, b, min(_slots(a), _slots(b)))
-
     result = base
     for bit in bin(k)[3:-1]:
-        result = times(result, result)
+        result = _times(result, result)
         if bit == "1":
-            result = times(result, base)
-    return (result, result) if k % 2 == 0 else (times(result, result), base)
+            result = _times(result, base)
+    return (result, result) if k % 2 == 0 else (_times(result, result), base)
 
 
 def _miller(rows: Packed, r: int, step: int, slot: int) -> dict[int, int]:
@@ -580,13 +580,11 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, de
     else:
         inexact = "coefficient not divisible over Z"
 
-    def slot_size(quotient_bits: int) -> int:
-        # A slot also holds every coefficient of either operand.
-        return -(-(quotient_bits + den_bits + den_terms.bit_length() + 1) // 8)
-
-    # Quotient bits: first as many as leave room for bits(max|dividend|) + 1,
-    # enough when the product does not cancel at its largest coefficient.
-    size = slot_size(max(num_bits + 1 - den_bits, 1))
+    # A slot holds every quotient row times the divisor, and so every
+    # coefficient of either operand.  Quotient bits: first as many as leave
+    # room for bits(max|dividend|) + 1, enough when the product does not
+    # cancel at its largest coefficient.
+    size = _slot_bytes(max(num_bits + 1 - den_bits, 1) + den_bits, den_terms)
     acc, base = pack(size)
     live = [e1 for e1, value in acc.items() if value]
     if not live:
@@ -603,8 +601,8 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, de
     # other dividend row is zero, and an exact quotient has none off it.
     s1 = gcd(*(e1 - lo1 for e1 in live), *(d1 - den_lo1 for d1, _, _ in den.rows)) or 1
     # Then the bound on every exact quotient.
-    proven = slot_size(last1 - first1 + (last2 - first2) // g
-                       + num_bits + (num_terms.bit_length() + 1) // 2)
+    proven = _slot_bytes(last1 - first1 + (last2 - first2) // g + num_bits
+                         + (num_terms.bit_length() + 1) // 2 + den_bits, den_terms)
     while True:
         slot = 8 * size
         rows = [acc.pop(e1, 0) >> low * slot for e1 in range(lo1, hi1 + 1, s1)]
@@ -619,8 +617,7 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, de
         packed = _divide_packed(rows, (last1 - first1) // s1 + 1, lead, box_zeros,
                                 box_zeros + twos, others, inexact)
         quotient = _carry_rows(zip(range(first1, last1 + 1, s1), packed), first2, g, size)
-        width = quotient.bits + den_bits + 1 + min(_slots(quotient), den_terms).bit_length()
-        if width <= slot:
+        if _slot_bytes(quotient.bits + den_bits, min(_slots(quotient), den_terms)) <= size:
             return quotient
         if size == proven:
             raise NonExactDivisionError(inexact)
@@ -639,11 +636,11 @@ def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
     at its own size.  Either way the rows are re-slotted to the slot size
     ``_divide`` tries, the last product, the ``+ 1`` and the division run on
     packed rows at that one size, and cur**r + 1 is never decoded.
-    ``_divide`` sizes the slots as for ``div_exact``, from two bounds that
-    hold whatever the signs: no coefficient of cur**k, k <= r, exceeds
-    ||cur||_1^(r-1) * max|cur|, and cur**r has at most C(n + r - 1, r)
-    terms, n the slot count of cur, one per multiset of r terms of cur.  A
-    retry makes the packed power again.
+    ``_divide`` sizes the slots by ``_slot_bytes`` as for ``div_exact``, from
+    two bounds that hold whatever the signs: no coefficient of cur**k,
+    k <= r, exceeds ||cur||_1^(r-1) * max|cur|, and cur**r has at most
+    C(n + r - 1, r) terms, n the slot count of cur, one per multiset of r
+    terms of cur.  A retry makes the packed power again.
 
     The stride is the gcd of cur's lattice step, r times cur's lowest e2, and
     prev's lattice step:
@@ -672,5 +669,22 @@ def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
         acc[0] = acc.get(0, 0) + (1 << -base // g * slot)
         return acc, base
 
-    return _divide(pack, prev, _slots(prev), g, _power_bits(cur, r),
-                   comb(_slots(cur) + r - 1, r) + 1)
+    power_bits = (_norm(cur) ** (r - 1)).bit_length() + cur.bits
+    return _divide(pack, prev, _slots(prev), g, power_bits, comb(_slots(cur) + r - 1, r) + 1)
+
+
+def _walk(r: int, downward: bool) -> Iterator[_Carried]:
+    """x_3, x_4, ... (x_0, x_-1, ... when ``downward``), one recursion step per
+    value, each carried packed (``_decode`` turns one into a polynomial).
+
+    Holds only the last two values.  Downward, x_{m-1} = (x_m^r + 1) / x_{m+1}:
+    the same recursion started from (x2, x1) instead of (x1, x2).  Each step
+    is ``_step``, which packs x_m^r + 1 once and hands its quotient to the
+    next step still packed, so no value is decoded inside the walk.
+    """
+    prev, cur = _carry({(1, 0): 1}), _carry({(0, 1): 1})  # x1, x2
+    if downward:
+        prev, cur = cur, prev
+    while True:
+        prev, cur = cur, _step(prev, cur, r)
+        yield cur

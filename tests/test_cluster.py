@@ -142,7 +142,7 @@ def test_cap_matrix_is_decided_from_d_n_before_any_work(monkeypatch):
         raise _Started
 
     monkeypatch.setattr(cluster, "build_path", start)
-    monkeypatch.setattr(cluster, "_step", start)
+    monkeypatch.setattr(laurent, "_step", start)
     for r in range(2, 6):
         for index in range(-6, 9):
             n = _top(index)
@@ -353,13 +353,13 @@ def test_verify_range_sorted_rows():
 def _count_steps(monkeypatch):
     """Count ``_step`` calls, one per recursion step."""
     calls = []
-    step = cluster._step
+    step = laurent._step
 
     def counting(prev, cur, r):
         calls.append(1)
         return step(prev, cur, r)
 
-    monkeypatch.setattr(cluster, "_step", counting)
+    monkeypatch.setattr(laurent, "_step", counting)
     return calls
 
 

@@ -33,6 +33,14 @@ def test_dim_sequence_r2_is_linear():
     assert tuple(dim_sequence(2, 6).values) == (0, 1, 2, 3, 4, 5)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("k", [0, -1, 6])
+def test_dim_sequence_value_refuses_an_index_outside_its_range(r, k):
+    # Without the guard, value(0) would read values[-1], the last value.
+    with pytest.raises(IndexError, match=rf"^index {k} outside computed range 1\.\.5$"):
+        dim_sequence(r, 5).value(k)
+
+
 def test_dim_sequence_r4_prefix():
     seq = dim_sequence(4, 5)
     assert seq.values[:4] == (0, 1, 4, 15)

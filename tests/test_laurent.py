@@ -8,8 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rank2cluster.errors import NonExactDivisionError, PoleError
 from rank2cluster import carried, laurent
-from rank2cluster.cluster import _walk
-from rank2cluster.laurent import LaurentPoly2
+from rank2cluster.laurent import LaurentPoly2, _walk
 
 from oracles import EQ3_NUMERATOR_TERMS, reference_div_exact, reference_mul, reference_pow
 
@@ -256,6 +255,12 @@ def test_eval_at_printed_example_sum():
 
 def test_eval_at_zero_poly():
     assert ZERO.eval_at(5, 7) == 0
+
+
+@pytest.mark.parametrize("method", ["min_exponents", "max_exponents"])
+def test_zero_polynomial_has_no_extreme_exponents(method):
+    with pytest.raises(ValueError, match="^zero polynomial has no exponents$"):
+        getattr(ZERO, method)()
 
 
 def test_eval_at_pole():
@@ -540,6 +545,32 @@ def test_split_and_interleave_invert_each_other(case):
     assert carried._interleave(halves, size) == values
 
 
+@settings(deadline=None)
+@given(st.integers(1, 80), st.integers(1, 80), st.integers(1, 2**16),
+       st.lists(st.sampled_from([1, -1, 0]), max_size=6), st.sampled_from([1, -1]),
+       st.sampled_from([1, -1]))
+# a + b + 1 + bits(terms) a multiple of 8: the extreme sum fills its last byte.
+@example(3, 3, 1, [], 1, -1)
+@example(10, 11, 3, [0, -1], -1, 1)
+@example(64, 62, 2**15, [1, 0, -1], 1, 1)
+# One bit more: the slot takes one more byte.
+@example(3, 4, 1, [-1], -1, -1)
+def test_the_slot_rule_holds_its_worst_sum(a, b, terms, middle, first, last):
+    # The largest sum of ``terms`` products of an a-bit by a b-bit coefficient,
+    # with either sign, in every slot of a row that starts and ends on one.
+    extreme = terms * ((1 << a) - 1) * ((1 << b) - 1)
+    coeffs = [extreme * sign for sign in (first, *middle, last)]
+    size = carried._slot_bytes(a + b, terms)
+    assert extreme < 1 << 8 * size - 1
+    value = carried._carry_rows([(2, _packed(coeffs, size))], 5, 3, size)
+    assert value.size == size and value.bits == extreme.bit_length()
+    assert carried._term_map(value) == {(2, 5 + 3 * i): c for i, c in enumerate(coeffs) if c}
+    assert carried._rows_at(value, size, 3) == [(2, 0, _packed(coeffs, size))]
+    # One byte wider on the lattice step 1, the slots land three apart.
+    assert carried._rows_at(value, size + 1, 1) == [(2, 0, _packed(
+        [c for coeff in coeffs for c in (coeff, 0, 0)][:-2], size + 1))]
+
+
 @given(kernel_polys.filter(bool))
 def test_carry_round_trips_a_polynomial(p):
     value = carried._carry(p.terms)
@@ -560,7 +591,7 @@ def _rows_of(p, q=None, g=None):
     a = carried._carry(p.terms)
     b = a if q is None else carried._carry(q.terms)
     g = g or math.gcd(a.g, b.g) or 1
-    size = -(-(a.bits + b.bits + 1 + min(len(p), len(q or p)).bit_length()) // 8)
+    size = carried._slot_bytes(a.bits + b.bits, min(len(p), len(q or p)))
     rows = carried._rows_at(a, size, g)
     return rows, rows if q is None else carried._rows_at(b, size, g), 8 * size
 
