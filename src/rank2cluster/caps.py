@@ -18,14 +18,15 @@ DEFAULT_MAX_EXPONENT = 10**6
 DEFAULT_CONFIG_BUDGET = 10**8
 
 # Largest (2*width+1) * (2*height+1) character grid ``render.ascii_path``
-# builds.  (3,12) needs 43 228 347 cells (about 7 s and 440 MB on a 2-core
-# Linux host, Python 3.11); (4,10) needs 92 626 461 and is refused.
+# builds.  (3,12) needs 43 228 347 cells (about 4.3 s and 408 MB peak RSS on
+# a 2-core Linux host, Python 3.11.7); (4,10) needs 92 626 461 and is refused.
 MAX_ASCII_CELLS = 5 * 10**7
 
 # Largest d(n-1) + d(n-2), the path's edges plus its distinguished vertices,
 # that ``path --json``, ``--svg`` and ``--tikz`` build.  Every path admitted at
 # DEFAULT_MAX_EXPONENT fits: its d(n-1) is at most 10**6.  The largest,
-# (2,1000002) with 1 999 999, takes 0.5 s and 83 MB peak RSS for --json,
-# 2.3 s and 477 MB for --tikz and 4.0 s and 855 MB for --svg (2-core Linux
-# host, Python 3.11.7); (2,1000003) is refused when --max-exponent admits it.
+# (2,1000002) with 1 999 999, takes 0.7 s and 82 MB peak RSS for --json,
+# 1.6 s and 282 MB for --tikz and 3.6 s and 594 MB for --svg (medians of
+# three runs through the CLI, 2-core Linux host, Python 3.11.7); (2,1000003)
+# is refused when --max-exponent admits it.
 MAX_PATH_SIZE = 2 * 10**6

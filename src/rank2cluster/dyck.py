@@ -24,6 +24,7 @@ and every classifier reads that one table.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, pairwise
@@ -154,11 +155,19 @@ class DyckPath:
         """The path over {E, N}, one letter per edge; O(n_edges) on each read."""
         return "N".join("E" * (end - start) for start, end in self._rows())
 
-    @property
-    def vertex_coords(self) -> tuple[tuple[int, int], ...]:
-        """The lattice points w_0..w_(n_edges) along the path; O(n_edges) on each read."""
-        return tuple([(x, y) for y, (start, end) in enumerate(self._rows())
-                      for x in range(start, end + 1)])
+    def points(self, first: int = 0, last: int | None = None) -> Iterator[tuple[int, int]]:
+        """The lattice points w_first..w_last (default w_(n_edges)), one at a time.
+
+        Every edge adds one to x + y, so w_p = (p - y, y) for y the row of w_p,
+        the last j with v_index[j] <= p.  The row of w_first is found by
+        bisection, so a run late in the path starts there at once.
+        """
+        v_index, height = self.v_index, self.height
+        y = bisect_right(v_index, first) - 1
+        for p in range(first, (self.n_edges if last is None else last) + 1):
+            if y < height and v_index[y + 1] == p:
+                y += 1
+            yield p - y, y
 
     def vertex(self, j: int) -> tuple[int, int]:
         """Coordinates of v_j, 0 <= j <= height."""

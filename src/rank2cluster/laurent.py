@@ -362,7 +362,8 @@ class LaurentPoly2:
             return self._render_text(names, latex=False)
         if format == "latex":
             latex_names = tuple(
-                name if ("_" in name or len(name) == 1) else f"{name[0]}_{name[1:]}"
+                name if ("_" in name or len(name) == 1)
+                else f"{name[0]}_{name[1:]}" if len(name) == 2 else f"{name[0]}_{{{name[1:]}}}"
                 for name in names
             )
             return self._render_text(latex_names, latex=True)

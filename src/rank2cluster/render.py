@@ -3,10 +3,14 @@
 Pure string emitters, no display loop.  All three show the rectangle grid,
 the diagonal, the path, and the distinguished vertices v_j; an optional
 overlay highlights one classified subpath (and, for a green one, its window
-of preceding edges).
+of preceding edges).  The path, the span and the window are each a run of
+lattice points w_first..w_last, read lazily from ``DyckPath.points`` and
+drawn by one loop or helper per format.
 """
 
 from __future__ import annotations
+
+from itertools import pairwise
 
 from .caps import MAX_ASCII_CELLS
 from .dyck import Color, ColoredSubpath, DyckPath
@@ -28,6 +32,14 @@ def describe_overlay(overlay: ColoredSubpath) -> str:
     return f"overlay alpha({overlay.i},{overlay.k}): {overlay.color.value}{params} {span}{window}"
 
 
+def _overlay_runs(overlay: ColoredSubpath | None) -> list[tuple[int, int]]:
+    """The (first, last) lattice points of the overlay's span and of its window, if any."""
+    if overlay is None:
+        return []
+    runs = [overlay.edge_span] + ([] if overlay.window is None else [overlay.window])
+    return [(lo - 1, hi) for lo, hi in runs]
+
+
 def check_ascii_grid(width: int, height: int) -> None:
     """Raise ``GridSizeError`` when the character grid of a ``width`` x
     ``height`` box would exceed ``caps.MAX_ASCII_CELLS``."""
@@ -47,18 +59,10 @@ def ascii_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
     """
     width, height = path.width, path.height
     check_ascii_grid(width, height)
-    lattice = path.vertex_coords
     rows = [[" "] * (2 * width + 1) for _ in range(2 * height + 1)]
 
     def put_point(x: int, y: int, ch: str) -> None:
         rows[2 * (height - y)][2 * x] = ch
-
-    def put_edge(position: int, east_ch: str, north_ch: str) -> None:
-        (x0, y0), (x1, y1) = lattice[position - 1], lattice[position]
-        if y1 == y0:
-            rows[2 * (height - y0)][2 * x0 + 1] = east_ch
-        else:
-            rows[2 * (height - y1) + 1][2 * x0] = north_ch
 
     for x in range(width + 1):
         for y in range(height + 1):
@@ -71,13 +75,13 @@ def ascii_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
             if height * cx < width * (cy + 1) and height * (cx + 1) > width * cy:
                 rows[2 * (height - cy) - 1][2 * cx + 1] = "."
 
-    for position in range(1, path.n_edges + 1):
-        put_edge(position, "-", "|")
-    if overlay is not None:
-        for position in overlay.edges():
-            put_edge(position, "=", "!")
-        for position in overlay.window_edges():
-            put_edge(position, "~", ":")
+    runs = [(0, path.n_edges), *_overlay_runs(overlay)]
+    for (first, last), (east, north) in zip(runs, ("-|", "=!", "~:")):
+        for (x0, y0), (x1, y1) in pairwise(path.points(first, last)):
+            if y1 == y0:
+                rows[2 * (height - y0)][2 * x0 + 1] = east
+            else:
+                rows[2 * (height - y1) + 1][2 * x0] = north
     for j in range(height + 1):
         x, y = path.vertex(j)
         put_point(x, y, "o")
@@ -87,7 +91,8 @@ def ascii_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
     if overlay is not None:
         lines.append(describe_overlay(overlay))
     lines.extend("".join(row).rstrip() for row in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def svg_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
@@ -99,10 +104,10 @@ def svg_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
     def py(y: int) -> int:
         return _SVG_PAD + _SVG_UNIT * (height - y)
 
-    def points(coords) -> str:
-        return " ".join(f"{px(x)},{py(y)}" for x, y in coords)
+    def polyline(run: tuple[int, int], stroke: str) -> str:
+        coords = " ".join(f"{px(x)},{py(y)}" for x, y in path.points(*run))
+        return f'<polyline points="{coords}" fill="none" {stroke}/>'
 
-    lattice = path.vertex_coords
     total_w = 2 * _SVG_PAD + _SVG_UNIT * width
     total_h = 2 * _SVG_PAD + _SVG_UNIT * height
     parts = [
@@ -120,54 +125,40 @@ def svg_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
         f'<line x1="{px(0)}" y1="{py(0)}" x2="{px(width)}" y2="{py(height)}" '
         'stroke="#888888" stroke-width="1.5"/>'
     )
-    parts.append(
-        f'<polyline points="{points(lattice)}" '
-        'fill="none" stroke="#000000" stroke-width="4"/>'
-    )
+    parts.append(polyline((0, path.n_edges), 'stroke="#000000" stroke-width="4"'))
     if overlay is not None:
-        lo, hi = overlay.edge_span
-        color = _OVERLAY_COLORS[overlay.color]
         parts.append(f"<!-- {describe_overlay(overlay)} -->")
-        parts.append(
-            f'<polyline points="{points(lattice[lo - 1 : hi + 1])}" '
-            f'fill="none" stroke="{color}" stroke-width="6"/>'
-        )
-        if overlay.window is not None:
-            wlo, whi = overlay.window
-            parts.append(
-                f'<polyline points="{points(lattice[wlo - 1 : whi + 1])}" '
-                'fill="none" stroke="#e6a100" stroke-width="6" stroke-dasharray="6,4"/>'
-            )
+        parts.extend(map(polyline, _overlay_runs(overlay), (
+            f'stroke="{_OVERLAY_COLORS[overlay.color]}" stroke-width="6"',
+            'stroke="#e6a100" stroke-width="6" stroke-dasharray="6,4"')))
     for j in range(height + 1):
         x, y = path.vertex(j)
         parts.append(f'<circle cx="{px(x)}" cy="{py(y)}" r="5" fill="#000000"/>')
         parts.append(f'<text x="{px(x) + 6}" y="{py(y) - 6}" font-size="12">v{j}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.extend(("</svg>", ""))
+    return "\n".join(parts)
 
 
 def tikz_path(path: DyckPath, overlay: ColoredSubpath | None = None) -> str:
     width, height = path.width, path.height
+
+    def draw(run: tuple[int, int], style: str) -> str:
+        coords = " -- ".join(f"({x},{y})" for x, y in path.points(*run))
+        return f"  \\draw[{style}] {coords};"
+
     parts = [
         f"% r={path.r} n={path.n} word={path.word}",
         "\\begin{tikzpicture}[scale=0.7]",
         f"  \\draw[gray!40,very thin] (0,0) grid ({width},{height});",
         f"  \\draw[gray] (0,0) -- ({width},{height});",
+        draw((0, path.n_edges), "line width=1.6pt"),
     ]
-    lattice = path.vertex_coords
-    coords = " -- ".join(f"({x},{y})" for x, y in lattice)
-    parts.append(f"  \\draw[line width=1.6pt] {coords};")
     if overlay is not None:
         parts.append(f"  % {describe_overlay(overlay)}")
-        lo, hi = overlay.edge_span
-        span = " -- ".join(f"({x},{y})" for x, y in lattice[lo - 1 : hi + 1])
-        parts.append(f"  \\draw[line width=2.4pt,{overlay.color.value}] {span};")
-        if overlay.window is not None:
-            wlo, whi = overlay.window
-            window = " -- ".join(f"({x},{y})" for x, y in lattice[wlo - 1 : whi + 1])
-            parts.append(f"  \\draw[line width=2pt,orange,dashed] {window};")
+        parts.extend(map(draw, _overlay_runs(overlay), (
+            f"line width=2.4pt,{overlay.color.value}", "line width=2pt,orange,dashed")))
     for j in range(height + 1):
         x, y = path.vertex(j)
         parts.append(f"  \\filldraw ({x},{y}) circle (2.2pt) node[above left] {{$v_{{{j}}}$}};")
-    parts.append("\\end{tikzpicture}")
-    return "\n".join(parts) + "\n"
+    parts.extend(("\\end{tikzpicture}", ""))
+    return "\n".join(parts)

@@ -145,7 +145,7 @@ def test_criterion_6_christoffel_and_maximality():
             assert path.word == lower_christoffel_word(path.height, path.width), (
                 f"word mismatch at {(r, n)}"
             )
-            lattice = path.vertex_coords
+            lattice = list(path.points())
             for position, letter in enumerate(path.word):
                 x, y = lattice[position]
                 assert y * path.width <= x * path.height

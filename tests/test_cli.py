@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import time
 
@@ -318,6 +319,39 @@ def test_path_svg_and_tikz(capsys):
         "  \\draw[line width=2.4pt,green] (2,1) -- (3,1) -- (4,1) -- (4,2) -- (5,2) -- (5,3);",
         "  \\draw[line width=2pt,orange,dashed] (2,0) -- (2,1);",
     ]
+
+
+def _path_sweep(style):
+    """Every `path` argv of one style on the cells with 2 <= r <= 6 and height
+    <= 12: no overlay, then each --overlay i,k with 0 <= i < k <= height + 1."""
+    for r in range(2, 7):
+        n = 3
+        while (height := dim_sequence(r, n).value(n - 2)) <= 12:
+            base = ("path", "--r", str(r), "--n", str(n), style)
+            yield base
+            for k in range(1, height + 2):
+                for i in range(k):
+                    yield (*base, "--overlay", f"{i},{k}")
+            n += 1
+
+
+# SHA-256 over repr((argv, exit code, stdout, stderr)) of each argv of the
+# sweep in order, computed with the renderers that sliced a tuple of every
+# lattice point.
+PATH_PICTURE_HASHES = {
+    "--ascii": "3ac33d09ce027504f460d0f5b3dd09f0c00a70a48da960e2644a310d7f445ca3",
+    "--svg": "a3fa630b66fdb8a990850266621d6ba167e14630148f67335ebe78b17b7d2246",
+    "--tikz": "6dd9fb11ebd9475365c87123d8e929c8a73f531aeb4bb46040f9b33a15954baf",
+    "--json": "1eb067386886acff0dfe5b95d471be51e5dd1fd37c00d2d84a3a876d1d147cc2",
+}
+
+
+@pytest.mark.parametrize("style", list(PATH_PICTURE_HASHES))
+def test_path_pictures_are_pinned(capsys, style):
+    digest = hashlib.sha256()
+    for argv in _path_sweep(style):
+        digest.update(repr((argv, *run(capsys, *argv))).encode())
+    assert digest.hexdigest() == PATH_PICTURE_HASHES[style]
 
 
 def test_path_ascii_grid_cap_is_inclusive(capsys, monkeypatch):

@@ -113,7 +113,7 @@ def test_step_counts(cell):
 @given(params)
 def test_path_stays_on_or_below_diagonal(cell):
     path = build_path(*cell)
-    for x, y in path.vertex_coords:
+    for x, y in path.points():
         assert y * path.width <= x * path.height
 
 
@@ -121,7 +121,7 @@ def test_path_stays_on_or_below_diagonal(cell):
 def test_maximality_at_every_east_step(cell):
     # Wherever the path goes east, the north neighbor is strictly above the diagonal.
     path = build_path(*cell)
-    lattice = path.vertex_coords
+    lattice = list(path.points())
     for position, letter in enumerate(path.word):
         if letter == "E":
             x, y = lattice[position]
@@ -134,6 +134,15 @@ def test_word_is_lower_christoffel(cell):
     assert path.word == lower_christoffel_word(path.height, path.width)
 
 
+def word_walk(word):
+    """The lattice points of a word over {E, N}, from the origin."""
+    walk = [(0, 0)]
+    for letter in word:
+        x, y = walk[-1]
+        walk.append((x + 1, y) if letter == "E" else (x, y + 1))
+    return walk
+
+
 @pytest.mark.parametrize("r, n", [(2, 10**5), (3, 14), (4, 10), (5, 8), (6, 8)])
 def test_derived_word_and_lattice_points_on_larger_cells(r, n):
     # The path keeps only v_index; its word, lattice points and vertices are
@@ -142,11 +151,8 @@ def test_derived_word_and_lattice_points_on_larger_cells(r, n):
     word = path.word
     assert word == lower_christoffel_word(path.height, path.width)
     assert path.v_index == (0, *(p + 1 for p, letter in enumerate(word) if letter == "N"))
-    walk = [(0, 0)]
-    for letter in word:
-        x, y = walk[-1]
-        walk.append((x + 1, y) if letter == "E" else (x, y + 1))
-    assert path.vertex_coords == tuple(walk)
+    walk = word_walk(word)
+    assert list(path.points()) == walk
     assert [path.vertex(j) for j in range(path.height + 1)] == [walk[p] for p in path.v_index]
     assert path.n_edges == len(word) == path.dims.value(n - 1)
 
@@ -284,3 +290,39 @@ def test_green_table_is_the_one_exhaustive_match():
 def test_path_json_schema():
     payload = build_path(3, 5).to_json_dict()
     assert payload == {"r": 3, "n": 5, "word": "EENEENEN", "v_index": [0, 3, 6, 8]}
+
+
+# Every cell with 2 <= r <= 6 and height d(n-2) <= 8, n = 3 (height 0) included.
+SHORT_CELLS = [(r, n) for r in range(2, 7) for n in range(3, 12)
+               if dim_sequence(r, 9).value(n - 2) <= 8]
+
+
+@pytest.mark.parametrize("r, n", SHORT_CELLS)
+def test_points_runs_are_slices_of_the_walk(r, n):
+    path = build_path(r, n)
+    walk = word_walk(path.word)
+    for first in range(path.n_edges + 1):
+        for last in range(first, path.n_edges + 1):
+            assert list(path.points(first, last)) == walk[first:last + 1], (first, last)
+        assert list(path.points(first)) == walk[first:]
+
+
+def test_points_of_the_height_0_path():
+    path = build_path(4, 3)
+    assert (path.width, path.height) == (1, 0)
+    assert list(path.points()) == [(0, 0), (1, 0)]
+    assert list(path.points(1)) == [(1, 0)]
+    assert list(path.points(0, 0)) == [(0, 0)]
+
+
+def test_points_runs_from_a_distinguished_vertex_and_to_the_end_on_a_long_path():
+    path = build_path(2, 10**5)
+    walk = word_walk(path.word)
+    end = path.n_edges
+    for j in (0, 1, 2, 5000, path.height - 1, path.height):
+        start = path.v_index[j]
+        assert next(path.points(start)) == path.vertex(j)
+        assert list(path.points(start, min(start + 3, end))) == walk[start:start + 4]
+        assert list(path.points(start)) == walk[start:]
+    for first in (0, 1, end - 2, end - 1, end):
+        assert list(path.points(first, end)) == walk[first:]

@@ -285,6 +285,13 @@ def test_render_latex():
     assert poly.render("latex", names=("y1", "y2")) == "7 + y_1^{-8} y_2^{21}"
 
 
+def test_render_latex_braces_a_subscript_of_more_than_one_character():
+    poly = LaurentPoly2({(2, 1): -3, (0, 0): 1})
+    assert poly.render("latex", names=("x10", "y")) == "-3 x_{10}^{2} y + 1"
+    assert poly.render("latex", names=("x1", "y2")) == "-3 x_1^{2} y_2 + 1"
+    assert poly.render("latex", names=("x_10", "yab")) == "-3 x_10^{2} y_{ab} + 1"
+
+
 def test_render_term_order_is_descending():
     poly = LaurentPoly2(EQ3_NUMERATOR_TERMS)
     rendered = poly.render("plain")
