@@ -17,8 +17,10 @@ v_j = (x_j, j), where x_j = v_index[j] - j.  That slope exceeds the
 diagonal iff f(t) > f(i), so t* is the next strictly greater f, found for
 every i by one monotone stack in O(height).  f is an exact int: no floating
 point is used anywhere, since near-diagonal slopes would misclassify under
-rounding for large rectangles.  ``_turns`` pairs each t* with its color,
-and every classifier reads that one table.
+rounding for large rectangles.  ``_turns`` pairs each t* with its color.
+The color of the subpath (v_i, v_k) depends only on v_i..v_k, so the table
+takes a vertex range: ``classify`` reads the table of v_i..v_k, in
+O(k - i), and the formula scan and ``build_pool`` read that of the whole path.
 """
 
 from __future__ import annotations
@@ -106,22 +108,6 @@ class ColoredSubpath:
     green_w: int | None = None
     window: tuple[int, int] | None = None
 
-    @property
-    def weight1(self) -> int:
-        return self.k - self.i
-
-    @property
-    def edge_count(self) -> int:
-        return self.edge_span[1] - self.edge_span[0] + 1
-
-    def edges(self) -> range:
-        return range(self.edge_span[0], self.edge_span[1] + 1)
-
-    def window_edges(self) -> range:
-        if self.window is None:
-            return range(0)
-        return range(self.window[0], self.window[1] + 1)
-
 
 @dataclass(frozen=True, slots=True)
 class DyckPath:
@@ -203,34 +189,49 @@ def green_table(path: DyckPath) -> dict[int, tuple[int, int, int]]:
     strictly as w grows, since d(m-1) >= 1, so they fill
     [2d(m-1) - d(m-2), d(m) - d(m-1)], and level m+1 starts at
     2d(m) - d(m-1), above d(m) - d(m-1).  The (n-4)(r-2) entries are at most
-    the path's d(n-1) edges; there are none when r = 2 or n <= 4.
+    the path's d(n-1) edges, and w runs outside m so that no level is walked
+    when there are none, as at r = 2 or n <= 4.
     """
     d = path.dims.value
     return {
         d(m) - w * d(m - 1): (m, w, d(m - 1) - w * d(m - 2))
-        for m in range(3, path.n - 1)
         for w in range(1, path.r - 1)
+        for m in range(3, path.n - 1)
     }
 
 
-def first_exceeding_by_vertex(path: DyckPath) -> tuple[int | None, ...]:
-    """For each i < height, t*: the first t > i with f(t) > f(i), by one stack."""
+def first_exceeding_by_vertex(path: DyckPath, first: int = 0,
+                              last: int | None = None) -> tuple[int | None, ...]:
+    """For each i in first..last-1, the first t in i+1..last with f(t) > f(i), or None.
+
+    One stack over v_first..v_last (default the whole path, v_0..v_height);
+    entry i - first of the result belongs to v_i.  A t found this way is t*
+    whenever t* <= last, and None means t* > last or there is none.
+    """
     width, height = path.width, path.height
-    firsts: list[int | None] = [None] * (height + 1)
+    last = height if last is None else last
+    firsts: list[int | None] = [None] * (last - first)
     waiting: list[tuple[int, int]] = []  # (f(j), j) with no greater f yet; f falls upward
-    for j, position in enumerate(path.v_index):
+    for j, position in enumerate(path.v_index[first:last + 1], first):
         f = j * width - (position - j) * height
         while waiting and waiting[-1][0] < f:
-            firsts[waiting.pop()[1]] = j
+            firsts[waiting.pop()[1] - first] = j
         waiting.append((f, j))
-    return tuple(firsts[:height])
+    return tuple(firsts)
 
 
-def _turns(path: DyckPath) -> dict[int, tuple[int, tuple[int, int, int] | None]]:
-    """Each v_i with a t* -> (t*, its ``green_table`` entry, or None for red)."""
+def _turns(path: DyckPath, first: int = 0,
+           last: int | None = None) -> dict[int, tuple[int, tuple[int, int, int] | None]]:
+    """Each v_i, first <= i < last, whose t* <= last -> (t*, its green entry or None for red).
+
+    Reads only v_first..v_last (default the whole path), through
+    ``first_exceeding_by_vertex(path, first, last)``, and checks both of its
+    invariants for every turn it returns.  The green entry is that of
+    ``green_table``.
+    """
     greens, v_index = green_table(path), path.v_index
     turns = {}
-    for i, t in enumerate(first_exceeding_by_vertex(path)):
+    for i, t in enumerate(first_exceeding_by_vertex(path, first, last), first):
         if t is not None:
             # A slope from v_0 can never exceed the diagonal (every vertex lies
             # on or below it), so i >= 1 and the predecessor of v_i exists.
@@ -250,7 +251,7 @@ def check_pair(height: int, i: int, k: int) -> None:
 
 def _classify_with_first(path: DyckPath, i: int, k: int,
                          turn: tuple[int, tuple[int, int, int] | None] | None) -> ColoredSubpath:
-    """Classify (v_i, v_k) from ``_turns(path).get(i)``."""
+    """Classify (v_i, v_k) from v_i's entry in ``_turns`` over any range holding v_i..v_k."""
     start, end = path.v_index[i], path.v_index[k]
     if turn is None or turn[0] > k:  # the one blue rule: no slope up to v_k exceeds
         return ColoredSubpath(i=i, k=k, color=Color.BLUE, edge_span=(start + 1, end))
@@ -267,7 +268,9 @@ def classify(path: DyckPath, i: int, k: int) -> ColoredSubpath:
     Blue: no slope v_i -> v_t with i < t <= k exceeds the diagonal.
     Otherwise, if t* - i is a key of ``green_table(path)``, the subpath is
     green with that entry's (m, w) and a window of its edge count ending at
-    v_i; if not, it is red and extends one edge backward.
+    v_i; if not, it is red and extends one edge backward.  The color reads
+    only v_i..v_k, so one stack runs over that range: a t* beyond v_k is
+    blue either way.
     """
     check_pair(path.height, i, k)
-    return _classify_with_first(path, i, k, _turns(path).get(i))
+    return _classify_with_first(path, i, k, _turns(path, i, k).get(i))

@@ -5,9 +5,12 @@ implementation it checks: the Christoffel word comes from the arithmetic
 (mod-total) definition, reference F-polynomials are recovered from the
 recursion oracle's Laurent expansion by inverting the exponent bookkeeping,
 and the brute-force family stream applies the three family rules with its own
-edge and window masks instead of the aggregator's.  ``first_exceeding`` finds
-each vertex's first exceeding vertex by a slope search on the vertex
-coordinates, the reference for the package's one stack.
+edge and window masks instead of the aggregator's.  A classified subpath's
+weight1, edge count, edges and window edges are read off its fields here
+(``weight1``, ``edge_count``, ``edges``, ``window_edges``), since only these
+oracles use them.  ``first_exceeding`` finds each vertex's first exceeding
+vertex by a slope search on the vertex coordinates, the reference for the
+package's one stack.
 ``assert_no_late_greens`` is a bug trap for the classifier that the package
 itself never calls, and it reads that search.  ``green_matches`` searches
 every green parameter pair to pin the classifier's one table per path,
@@ -39,6 +42,28 @@ class LateGreenError(Rank2ClusterError):
     """A green classification would require a level m >= n-1."""
 
 
+def weight1(sub: ColoredSubpath) -> int:
+    """k - i: the subpath's contribution to a family's weight1."""
+    return sub.k - sub.i
+
+
+def edge_count(sub: ColoredSubpath) -> int:
+    """Number of edges the subpath covers."""
+    return sub.edge_span[1] - sub.edge_span[0] + 1
+
+
+def edges(sub: ColoredSubpath) -> range:
+    """The 1-based edge positions the subpath covers."""
+    return range(sub.edge_span[0], sub.edge_span[1] + 1)
+
+
+def window_edges(sub: ColoredSubpath) -> range:
+    """The edges of a green subpath's window; empty for blue and red."""
+    if sub.window is None:
+        return range(0)
+    return range(sub.window[0], sub.window[1] + 1)
+
+
 @dataclass(frozen=True, slots=True)
 class Family:
     """One member of the family collection: colored subpaths plus single edges."""
@@ -49,12 +74,12 @@ class Family:
     @property
     def weight1(self) -> int:
         """Sum of k - i over the colored elements."""
-        return sum(c.weight1 for c in self.colored)
+        return sum(weight1(c) for c in self.colored)
 
     @property
     def weight2(self) -> int:
         """Total number of edges across all elements."""
-        return sum(c.edge_count for c in self.colored) + len(self.singles)
+        return sum(edge_count(c) for c in self.colored) + len(self.singles)
 
 
 def is_member(path: DyckPath, family: Family) -> bool:
@@ -62,7 +87,7 @@ def is_member(path: DyckPath, family: Family) -> bool:
     covered: set[int] = set()
     total = 0
     for element in family.colored:
-        span = set(element.edges())
+        span = set(edges(element))
         covered |= span
         total += len(span)
     singles = set(family.singles)
@@ -76,7 +101,7 @@ def is_member(path: DyckPath, family: Family) -> bool:
         return False
     for element in family.colored:
         if element.color is Color.GREEN:
-            if not covered.intersection(element.window_edges()):
+            if not covered.intersection(window_edges(element)):
                 return False
     return True
 
@@ -105,8 +130,8 @@ def enumerate_bruteforce(
             f"path has {n_edges} edges, above the brute-force cap {edge_cap}"
         )
     colored = build_pool(path).colored
-    edge_masks = [_bits(c.edges()) for c in colored]
-    window_masks = [_bits(c.window_edges()) for c in colored]
+    edge_masks = [_bits(edges(c)) for c in colored]
+    window_masks = [_bits(window_edges(c)) for c in colored]
     # later[j]: elements after j that share no edge with j and do not chain with it.
     later = [
         sum(
@@ -127,7 +152,7 @@ def enumerate_bruteforce(
         for j in chosen:
             wmask = window_masks[j]
             if wmask and not (wmask & covered):
-                pending.append(_bits(position[edge] + 1 for edge in colored[j].window_edges()))
+                pending.append(_bits(position[edge] + 1 for edge in window_edges(colored[j])))
         for sub in range(1 << len(free)):
             if pending and not all(sub & wmask for wmask in pending):
                 continue

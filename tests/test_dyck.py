@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from rank2cluster import dyck
+from rank2cluster.combinat import generating_poly
 from rank2cluster.dyck import (
     Color,
     build_path,
@@ -12,7 +14,8 @@ from rank2cluster.dyck import (
 from rank2cluster.errors import ExponentOverflowError
 
 from oracles import (
-    assert_no_late_greens, first_exceeding, green_matches, lower_christoffel_word, slope_exceeds
+    assert_no_late_greens, first_exceeding, green_matches, lower_christoffel_word, slope_exceeds,
+    weight1,
 )
 
 # (r, n) pairs small enough for exhaustive scans in unit tests.
@@ -191,12 +194,23 @@ def test_first_exceeding_stack_matches_the_slope_search():
         assert first_exceeding_by_vertex(path) == first_exceeding(path), cell
 
 
+@pytest.mark.parametrize("cell", [(3, 7), (4, 6), (2, 12)])
+def test_first_exceeding_of_a_range_is_the_slope_search_cut_at_its_end(cell):
+    path = build_path(*cell)
+    whole = first_exceeding(path)
+    for first in range(path.height):
+        for last in range(first + 1, path.height + 1):
+            expected = tuple(t if t is not None and t <= last else None
+                             for t in whole[first:last])
+            assert first_exceeding_by_vertex(path, first, last) == expected, (first, last)
+
+
 def test_classify_blue_spans_vertices():
     sub = classify(build_path(3, 5), 0, 2)
     assert sub.color is Color.BLUE
     assert sub.edge_span == (1, 6)
     assert sub.window is None
-    assert sub.weight1 == 2
+    assert weight1(sub) == 2
 
 
 def test_classify_green_with_window():
@@ -219,6 +233,79 @@ def test_classify_validates_indices():
         classify(path, 2, 2)
     with pytest.raises(ValueError):
         classify(path, -1, 2)
+
+
+def _ranged_cells():
+    # r = 2..7, every n >= 3 with height d(n-2) <= 60: 84 cells, 43 534 pairs.
+    for r in range(2, 8):
+        n = 3
+        while dim_sequence(r, n - 1).value(n - 2) <= 60:
+            yield r, n
+            n += 1
+
+
+def test_classify_of_a_range_matches_the_whole_path_table():
+    pairs = 0
+    for cell in _ranged_cells():
+        path = build_path(*cell)
+        turns = dyck._turns(path)
+        for i in range(path.height):
+            for k in range(i + 1, path.height + 1):
+                expected = dyck._classify_with_first(path, i, k, turns.get(i))
+                assert classify(path, i, k) == expected, (cell, i, k)
+                pairs += 1
+    assert pairs == 43_534
+
+
+def test_classify_late_pairs_at_r3():
+    path = build_path(3, 14)
+    green = classify(path, 6765, 17711)  # t* = 17711 = k: the last vertex of the range
+    assert (green.color, green.green_m, green.green_w) == (Color.GREEN, 12, 1)
+    assert (green.edge_span, green.window) == ((17712, 46368), (13531, 17711))
+    blue = classify(path, 6765, 17710)  # k = t* - 1: the range holds no turn for v_6765
+    assert (blue.color, blue.edge_span, blue.window) == (Color.BLUE, (17712, 46366), None)
+    red = classify(path, 17710, 17711)
+    assert (red.color, red.edge_span) == (Color.RED, (46366, 46368))
+
+
+def test_classify_reads_only_v_i_to_v_k(monkeypatch):
+    ranges = []
+    stack = dyck.first_exceeding_by_vertex
+
+    def spy(path, first=0, last=None):
+        ranges.append((first, last))
+        return stack(path, first, last)
+
+    monkeypatch.setattr(dyck, "first_exceeding_by_vertex", spy)
+    assert classify(build_path(3, 7), 8, 21).color is Color.GREEN
+    assert ranges == [(8, 21)]
+
+
+def _window_too_long(monkeypatch):
+    # Every distance is green, with a window of more edges than the path has.
+    monkeypatch.setattr(dyck, "green_table", lambda path: {
+        distance: (3, 1, path.n_edges + 1) for distance in range(1, path.height + 1)
+    })
+
+
+def _turn_at_origin(monkeypatch):
+    stack = dyck.first_exceeding_by_vertex
+    monkeypatch.setattr(dyck, "first_exceeding_by_vertex", lambda path, first=0, last=None: (
+        (first + 1,) + stack(path, first, last)[1:]  # v_first turns at once; first is 0 here
+    ))
+
+
+@pytest.mark.parametrize("fault, pair, message", [
+    (_window_too_long, (2, 3), "green window underflows"),
+    (_turn_at_origin, (0, 2), "a turn at i=0"),
+])
+def test_turns_safety_checks_fire_for_classify_and_the_scan(monkeypatch, fault, pair, message):
+    path = build_path(3, 5)
+    fault(monkeypatch)
+    with pytest.raises(AssertionError, match=message):
+        classify(path, *pair)
+    with pytest.raises(AssertionError, match=message):
+        generating_poly(path)
 
 
 @given(params)
