@@ -6,22 +6,25 @@ highest nonzero slot and packed from one base key at one slot size s, joined
 in one bytes buffer.  A slot holds c + 2^(8s-1) little-endian, so it never
 borrows from its neighbour.  ``_carry`` makes one from a term map and
 ``_term_map`` reads one back.  Beside the buffer a carried value keeps its
-lattice step g (0 for a single e2 key) and bits(max|c|), read from the bytes
-like ||value||_1: the slot magnitudes (``_magnitudes``: the top bit of each
-slot flipped, and each negative slot negated in place) are one buffer of
-nonnegative slots, whose highest nonzero byte column gives the bits and
-whose byte column sums, weighted 256^k, give the norm.  Re-slotting to S
-bytes (``_rows_at``) is s strided copies, out[k::S] = data[k::s] (one per
-byte of S, with the top bit flipped, when S < s); a row's int less the
-half-slot offset 2^(8*min(s, S) - 1) in every slot is then the row packed
-at S, exact for signed slots whenever every |c| is below that offset.  When
-the lattice step shrinks by a factor f, the copies land f slots apart.
+lattice step g (0 for a single e2 key), bits(max|c|) and its term count,
+read from the bytes like ||value||_1: the slot magnitudes (``_magnitudes``:
+the top bit of each slot flipped, and each negative slot negated in place)
+are one buffer of nonnegative slots, whose highest nonzero byte column gives
+the bits, whose byte columns OR-ed together are zero exactly at the zero
+slots, and whose byte column sums, weighted 256^k, give the norm.
+Re-slotting to S bytes (``_rows_at``) is s strided copies, out[k::S] =
+data[k::s] (one per byte of S, with the top bit flipped, when S < s); a
+row's int less the half-slot offset 2^(8*min(s, S) - 1) in every slot is
+then the row packed at S, exact for signed slots whenever every |c| is below
+that offset.  When the lattice step shrinks by a factor f, the copies land
+f slots apart.
 
 Every slot size of the kernel comes from one rule, ``_slot_bytes(bits,
 terms)`` = ceil((bits + 1 + bits(terms)) / 8): the bytes that hold any sum
 of at most ``terms`` products whose factors' largest coefficients take
 ``bits`` bits together, plus a sign bit.  ``_carry`` calls it with no
-products, and ``laurent`` for every product and quotient.
+products, and ``laurent`` for every product and quotient, with the ``bits``
+and ``terms`` of its carried operands.
 
 The two-point row product of ``laurent`` (for long rows; division and
 Miller's recurrence stay one-point, see ``laurent``) moves slots the same
@@ -63,15 +66,16 @@ class _Carried:
     slot, each c + 2^(8*size - 1) little-endian.  Row (e1, at, count) has
     ``count`` slots, for the keys base + g*at, base + g*(at + 1), ..., its
     first and last ones nonzero.  Some row has at = 0, so ``base`` is the
-    lowest e2; g is 0 for a single e2 key.  ``bits`` is bits(max|c|).
+    lowest e2; g is 0 for a single e2 key.  ``bits`` is bits(max|c|) and
+    ``terms`` the number of nonzero slots.
     """
 
-    __slots__ = ("data", "rows", "base", "g", "size", "bits")
+    __slots__ = ("data", "rows", "base", "g", "size", "bits", "terms")
 
     def __init__(self, data: bytes, rows: list[tuple[int, int, int]], base: int, g: int,
-                 size: int, bits: int):
-        self.data, self.rows, self.base, self.g, self.size, self.bits = (
-            data, rows, base, g, size, bits)
+                 size: int, bits: int, terms: int):
+        self.data, self.rows, self.base, self.g, self.size, self.bits, self.terms = (
+            data, rows, base, g, size, bits, terms)
 
 
 def _slot_bytes(bits: int, terms: int = 0) -> int:
@@ -133,23 +137,23 @@ def _joined(chunks: list, base: int, g: int, size: int) -> _Carried:
     nonzero.  When every row is one slot, the keys fix the lattice step.
 
     bits(max|c|) is read off the highest nonzero byte column of the slot
-    magnitudes.
+    magnitudes, and the term count off the zero bytes of all columns OR-ed.
     """
     if not chunks:
-        return _Carried(b"", [], base, g, size, 0)
+        return _Carried(b"", [], base, g, size, 0, 0)
     least = min(at for _, at, _ in chunks)
     lattice = 1
     if all(len(raw) == size for _, _, raw in chunks):
         lattice = gcd(*(at - least for _, at, _ in chunks))
     data = b"".join(raw for _, _, raw in chunks)
-    magnitudes, bits = _magnitudes(data, size), 0
-    for k in reversed(range(size)):
-        column = magnitudes[k::size]
-        if column.count(0) < len(column):
-            bits = 8 * k + max(column).bit_length()
-            break
+    magnitudes, present, top = _magnitudes(data, size), 0, 0
+    for k in range(size):
+        if column := int.from_bytes(magnitudes[k::size], "little"):
+            present, top = present | column, k
+    bits = 8 * top + max(magnitudes[top::size]).bit_length()
+    terms = len(data) // size - present.to_bytes(len(data) // size, "little").count(0)
     rows = [(e1, (at - least) // (lattice or 1), len(raw) // size) for e1, at, raw in chunks]
-    return _Carried(data, rows, base + least * g, g * lattice, size, bits)
+    return _Carried(data, rows, base + least * g, g * lattice, size, bits, terms)
 
 
 def _term_map(value: _Carried) -> dict[tuple[int, int], int]:
@@ -164,11 +168,6 @@ def _term_map(value: _Carried) -> dict[tuple[int, int], int]:
             for e1, at, count in value.rows
             for e2, u in zip(range(base + at * step, base + (at + count) * step, step), slots)
             if u != half}
-
-
-def _slots(value: _Carried) -> int:
-    """The slot count of a carried value, a bound on its term count."""
-    return len(value.data) // value.size
 
 
 def _lead(value: _Carried) -> int:

@@ -235,7 +235,8 @@ def _turns(path: DyckPath, first: int = 0,
         if t is not None:
             # A slope from v_0 can never exceed the diagonal (every vertex lies
             # on or below it), so i >= 1 and the predecessor of v_i exists.
-            assert i >= 1, "a turn at i=0 contradicts the on-or-below invariant"
+            if i < 1:
+                raise AssertionError("a turn at i=0 contradicts the on-or-below invariant")
             if (green := greens.get(t - i)) is not None and green[2] > (start := v_index[i]):
                 raise AssertionError(f"green window underflows the path start: "
                                      f"{(start - green[2] + 1, start)} at (i={i}, t={t})")

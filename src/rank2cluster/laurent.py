@@ -32,13 +32,13 @@ rows.  Each operation re-slots its carried operands to its own slot size,
 calls a primitive and carries the result.  Every slot size comes from one
 rule, ``carried._slot_bytes(bits, terms)``: the bits of the largest factors,
 plus the bits of the number of products summed, plus a sign bit, rounded up
-to bytes.  A product (``_times``, for ``*`` and each product of ``**``) sizes
-a slot for the largest sum it can receive; where a term count is not known,
-a slot count stands for it.  ``div_exact`` (through ``_divide``) checks the
-bits of the carried quotient against the same rule to prove that no slot
-overflowed, and when the check fails retries once at a slot size that holds
-every exact quotient (a Mignotte bound), so every call ends after at most
-two sizes.  The quotient's exponents lie in the box min(dividend) -
+to bytes, from the bits and term counts its carried operands keep.  A
+product (``_times``, for ``*`` and each product of ``**``) sizes a slot for
+the largest sum it can receive.  ``div_exact`` (through ``_divide``) checks
+the carried quotient against the same rule to prove that no slot
+overflowed, and when the check fails retries once at a slot size that
+holds every exact quotient (a Mignotte bound), so every call ends after at
+most two sizes.  The quotient's exponents lie in the box min(dividend) -
 min(divisor) .. max(dividend) - max(divisor), and a non-exact division
 raises ``NonExactDivisionError``.
 
@@ -96,7 +96,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Union
 
 from .carried import (Packed, _Carried, _carry, _carry_rows, _interleave, _lead, _norm, _rows_at,
-                      _slot_bytes, _slots, _split, _term_map, _trailing_zeros)
+                      _slot_bytes, _split, _term_map, _trailing_zeros)
 from .errors import NonExactDivisionError, PoleError
 
 Exponents = tuple[int, int]
@@ -256,8 +256,7 @@ class LaurentPoly2:
         other = self._coerce(other)
         if not (self and other):
             return LaurentPoly2.zero()
-        return _decode(_times(_carry(self._terms), _carry(other._terms),
-                              min(len(self), len(other))))
+        return _decode(_times(_carry(self._terms), _carry(other._terms)))
 
     __rmul__ = __mul__
 
@@ -295,7 +294,7 @@ class LaurentPoly2:
         least ``_slot_bytes(bits(max|t|) + bits(max|divisor|), min(#t,
         #divisor))`` and ``_slot_bytes(bits(max|self|))``, t * divisor and
         self pack to the same ints with every slot in range, so they are equal
-        term for term.  The term counts are bounded by slot counts.
+        term for term.
         The first size leaves bits(max|self|) + 1 for the largest product
         coefficient, enough unless the product cancels there (the recursion's
         coefficients are positive).  When its check fails the division is
@@ -325,7 +324,7 @@ class LaurentPoly2:
             rows = _rows_at(num, size, g)
             return {e1: value << at * 8 * size for e1, at, value in rows}, num.base
 
-        return _decode(_divide(pack, den, len(divisor), g, num.bits, len(self)))
+        return _decode(_divide(pack, den, g, num.bits, num.terms))
 
     # -- evaluation and symmetry --------------------------------------------
 
@@ -463,19 +462,16 @@ def _mul_packed(a: Packed, b: Packed, slot: int) -> dict[int, int]:
     return dict(zip(plus, _interleave(halves, size)))
 
 
-def _times(a: _Carried, b: _Carried, terms: int | None = None) -> _Carried:
+def _times(a: _Carried, b: _Carried) -> _Carried:
     """The product of two nonzero carried values, carried; a square (``a is
     b``) re-slots once.
 
-    A slot has ``_slot_bytes(bits(max|a|) + bits(max|b|), terms)`` bytes: an
-    output coefficient sums at most one product per term of the smaller
-    operand, which has at most ``terms`` terms.  Without ``terms`` the
-    smaller slot count stands for it.
+    A slot has ``_slot_bytes(bits(max|a|) + bits(max|b|), min(#a, #b))``
+    bytes: an output coefficient sums at most one product per term of the
+    operand with fewer terms.
     """
     g = gcd(a.g, b.g) or 1
-    if terms is None:
-        terms = min(_slots(a), _slots(b))
-    size = _slot_bytes(a.bits + b.bits, terms)
+    size = _slot_bytes(a.bits + b.bits, min(a.terms, b.terms))
     rows = _rows_at(a, size, g)
     product = _mul_packed(rows, rows if a is b else _rows_at(b, size, g), 8 * size)
     return _carry_rows(sorted(product.items()), a.base + b.base, g, size)
@@ -487,7 +483,7 @@ def _last_factors(base: _Carried, k: int) -> tuple[_Carried, _Carried]:
     one object twice, and an odd one in a product with ``base``.
 
     Every earlier product is made by ``_times``, each at its own slot size,
-    and stays carried; slot counts stand for term counts.
+    and stays carried.
     """
     result = base
     for bit in bin(k)[3:-1]:
@@ -518,7 +514,8 @@ def _miller(rows: Packed, r: int, step: int, slot: int) -> dict[int, int]:
             if j in f:
                 total += ((r + 1) * j - i) * f[j] * powers[i - j]
         value, rest = divmod(total >> shift, i * c)
-        assert not rest and not total & ((1 << shift) - 1), "inexact recurrence"
+        if rest or total & ((1 << shift) - 1):
+            raise AssertionError("inexact recurrence")
         powers.append(value)
     return {r * top - i * step: value for i, value in enumerate(powers) if value}
 
@@ -554,24 +551,26 @@ def _divide_packed(rows: list[int], count: int, lead: int, box_zeros: int, lead_
     return quotient
 
 
-def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, den_terms: int,
-            g: int, num_bits: int, num_terms: int) -> _Carried:
+def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, g: int,
+            num_bits: int, num_terms: int) -> _Carried:
     """The exact quotient of a dividend by ``den``, carried, in at most two
     slot sizes (see ``div_exact``).
 
     ``pack(size)`` returns ({e1: packed row}, base), the dividend at ``size``
     bytes a slot with slot j of a row the coefficient of base + g*j.  No
     coefficient of the dividend needs more than ``num_bits`` bits, and it has
-    at most ``num_terms`` terms; ``den`` has at most ``den_terms``.  A slot
-    holds each coefficient with bits to spare, so the dividend's box reads
-    off its packed rows: a row's lowest nonzero slot is its trailing zero
-    count over the slot width, and its highest is its bit length over that
-    width.  The quotient's slot count stands for its term count.
+    at most ``num_terms`` terms.  A slot holds each coefficient with bits to
+    spare, so the dividend's box reads off its packed rows: a row's lowest
+    nonzero slot is its trailing zero count over the slot width, and its
+    highest is its bit length over that width.
+
+    The check reads the carried quotient's own term count, sound even when a
+    slot overflowed: the carried quotient times the divisor packs to the
+    same ints as the dividend, and that count bounds every sum it makes.
     """
     den_lo1, den_hi1 = den.rows[0][0], den.rows[-1][0]
     den_lo2 = den.base
     den_hi2 = den.base + den.g * (max(at + count for _, at, count in den.rows) - 1)
-    den_bits = den.bits
     lead_coeff = _lead(den)
     twos = _trailing_zeros(lead_coeff)
     # Term by term, the remainder leaves the box unless a coefficient fails
@@ -585,7 +584,7 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, de
     # coefficient of either operand.  Quotient bits: first as many as leave
     # room for bits(max|dividend|) + 1, enough when the product does not
     # cancel at its largest coefficient.
-    size = _slot_bytes(max(num_bits + 1 - den_bits, 1) + den_bits, den_terms)
+    size = _slot_bytes(max(num_bits + 1 - den.bits, 1) + den.bits, den.terms)
     acc, base = pack(size)
     live = [e1 for e1, value in acc.items() if value]
     if not live:
@@ -603,7 +602,7 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, de
     s1 = gcd(*(e1 - lo1 for e1 in live), *(d1 - den_lo1 for d1, _, _ in den.rows)) or 1
     # Then the bound on every exact quotient.
     proven = _slot_bytes(last1 - first1 + (last2 - first2) // g + num_bits
-                         + (num_terms.bit_length() + 1) // 2 + den_bits, den_terms)
+                         + (num_terms.bit_length() + 1) // 2 + den.bits, den.terms)
     while True:
         slot = 8 * size
         rows = [acc.pop(e1, 0) >> low * slot for e1 in range(lo1, hi1 + 1, s1)]
@@ -618,7 +617,7 @@ def _divide(pack: Callable[[int], tuple[dict[int, int], int]], den: _Carried, de
         packed = _divide_packed(rows, (last1 - first1) // s1 + 1, lead, box_zeros,
                                 box_zeros + twos, others, inexact)
         quotient = _carry_rows(zip(range(first1, last1 + 1, s1), packed), first2, g, size)
-        if _slot_bytes(quotient.bits + den_bits, min(_slots(quotient), den_terms)) <= size:
+        if _slot_bytes(quotient.bits + den.bits, min(quotient.terms, den.terms)) <= size:
             return quotient
         if size == proven:
             raise NonExactDivisionError(inexact)
@@ -640,7 +639,7 @@ def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
     ``_divide`` sizes the slots by ``_slot_bytes`` as for ``div_exact``, from
     two bounds that hold whatever the signs: no coefficient of cur**k,
     k <= r, exceeds ||cur||_1^(r-1) * max|cur|, and cur**r has at most
-    C(n + r - 1, r) terms, n the slot count of cur, one per multiset of r
+    C(n + r - 1, r) terms, n the term count of cur, one per multiset of r
     terms of cur.  A retry makes the packed power again.
 
     The stride is the gcd of cur's lattice step, r times cur's lowest e2, and
@@ -671,7 +670,7 @@ def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
         return acc, base
 
     power_bits = (_norm(cur) ** (r - 1)).bit_length() + cur.bits
-    return _divide(pack, prev, _slots(prev), g, power_bits, comb(_slots(cur) + r - 1, r) + 1)
+    return _divide(pack, prev, g, power_bits, comb(cur.terms + r - 1, r) + 1)
 
 
 def _walk(r: int, downward: bool) -> Iterator[_Carried]:

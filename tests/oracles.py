@@ -289,7 +289,8 @@ def f_polynomial_from_oracle(r: int, n: int) -> LaurentPoly2:
     for (e1, e2), coeff in oracle(r, n).terms.items():
         w1, rem1 = divmod(e1 + edges, r)
         drop, rem2 = divmod(e2 + height, r)
-        assert rem1 == 0 and rem2 == 0, "oracle term outside the expected lattice"
+        if rem1 or rem2:
+            raise AssertionError("oracle term outside the expected lattice")
         terms[(edges - drop, w1)] = coeff
     return LaurentPoly2(terms)
 

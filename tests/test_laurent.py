@@ -413,7 +413,7 @@ def test_pow_matches_reference(case):
 
 def test_each_product_of_a_power_is_sized_from_its_own_factors(monkeypatch):
     # (X1 + X2 + 1)**8 is three squares.  The bits of each factor's largest
-    # coefficient (1, 2, 4) and of its slot count (3, 6, 15) give slot widths
+    # coefficient (1, 2, 4) and of its term count (3, 6, 15) give slot widths
     # of 5, 8 and 13 bits.
     sizes = _spy_sizes(monkeypatch)
     assert (X1 + X2 + 1) ** 8 == reference_pow(X1 + X2 + 1, 8)
@@ -427,6 +427,16 @@ def test_mul_sizes_its_slot_from_term_counts(monkeypatch):
     sizes = _spy_sizes(monkeypatch)
     assert p * q == reference_mul(p, q)
     assert sizes == [2, 2]
+
+
+def test_a_sparse_power_sizes_its_slots_from_term_counts(monkeypatch):
+    # p, p**2 and p**3 hold 3, 6 and 10 terms in rows of 10^4 to 3*10^4 + 1
+    # slots; from the term counts every product fits 1-byte slots.
+    p = LaurentPoly2({(0, 10**4): 1, (0, 1): 1, (0, 0): 1})
+    sizes = _spy_sizes(monkeypatch)
+    cube = p**3
+    assert sizes == [1, 1, 1]
+    assert cube == p * p * p
 
 
 @settings(deadline=None)
@@ -579,11 +589,30 @@ def test_the_slot_rule_holds_its_worst_sum(a, b, terms, middle, first, last):
 
 
 @given(kernel_polys.filter(bool))
+# Coefficients +-1 with interior zero slots, and multi-byte slots.
+@example(LaurentPoly2({(0, 0): 1, (0, 40): -1}))
+@example(LaurentPoly2({(0, 0): -(2**70), (0, 3): -1, (1, -40): 2**16}))
 def test_carry_round_trips_a_polynomial(p):
     value = carried._carry(p.terms)
     assert carried._term_map(value) == p.terms
     assert value.bits == max(map(abs, p.terms.values())).bit_length()
+    assert value.terms == len(p.terms)
     assert carried._norm(value) == sum(map(abs, p.terms.values()))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(-(2**100), 2**100), max_size=4))
+@example(1, [_packed([1, 0, 0, -1], 1), 0, _packed([-128 + 1, 0, 127], 1)])
+# Slots that overflow carry into their neighbours: the count is that of the
+# term map the rows decode to.
+@example(1, [200 + (300 << 16)])
+# No nonzero row: the empty carried value.
+@example(2, [0, 0])
+def test_carried_rows_count_the_terms_they_decode_to(size, values):
+    value = carried._carry_rows(enumerate(values), 0, 1, size)
+    terms = carried._term_map(value)
+    assert value.terms == len(terms)
+    assert value.bits == max(map(abs, terms.values()), default=0).bit_length()
 
 
 # -- two-point row products -------------------------------------------------
@@ -766,6 +795,17 @@ def test_exchange_by_miller_matches_pow_plus_one_div_exact(case, prev):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(laurent, "_last_factors", _refuse)
         _check_exchange(prev, cur, r, reference_pow)
+
+
+def test_an_inexact_miller_step_raises_under_optimisation_too(monkeypatch):
+    # Packing is a ring homomorphism, so the recurrence divides exactly on
+    # any integer rows, whatever their top row; a divmod that leaves a
+    # remainder plants the fault the check guards against.
+    rows = [(0, 0, 1), (1, 0, 1)]  # x1 + 1
+    assert laurent._miller(rows, 2, 1, 8) == {2: 1, 1: 2, 0: 1}
+    monkeypatch.setattr(laurent, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(AssertionError, match="inexact recurrence"):
+        laurent._miller(rows, 2, 1, 8)
 
 
 @pytest.mark.parametrize("cur, r, unused", [

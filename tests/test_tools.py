@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -38,3 +39,12 @@ def test_code_lines_report_each_module_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split("\n") == [
         "     7  a.py", "     1  b.py", "     8  total", ""]
+
+
+def test_the_package_has_no_assert_statement():
+    # ``python -O`` drops assert statements, so every safety check of the
+    # package raises ``AssertionError`` explicitly.
+    package = Path(__file__).resolve().parents[1] / "src" / "rank2cluster"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
