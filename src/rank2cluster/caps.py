@@ -7,7 +7,8 @@ cap, as its period bounds it to five steps.  The character grid of ``path
 --ascii`` has a fixed cap, checked from the path's box before the grid is
 built, and so has the path of ``--json``, ``--svg`` and ``--tikz``, checked
 from d(n-1) and d(n-2) before the path is built.  Not bounded: the oracle's
-cost at r >= 2.
+cost at r >= 3, nor at r = 2, where each step is one linear pass over the
+rows of x_m.
 """
 
 # Largest exponent magnitude allowed: x_n is refused when d(n) exceeds it.

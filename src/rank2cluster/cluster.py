@@ -6,10 +6,12 @@ The sequence of cluster variables is defined for every integer index by
 
 Two independent routes compute the same expansions:
 
-* ``oracle`` iterates the recursion with exact Laurent division (forward for
-  indices above 2, backward below 1).  Exact division doubles as a built-in
-  Laurentness assertion.  The walk is ``laurent._walk``, beside the
-  recursion step it repeats; the oracle takes one value from it.
+* ``oracle`` iterates the recursion (forward for indices above 2, backward
+  below 1), by exact Laurent division at every r but 2, where exact
+  division doubles as a built-in Laurentness assertion.  At r = 2 each step
+  is x_{m+1} = K*x_m - x_{m-1}, K = (x1^2 + x2^2 + 1)/(x1*x2), with no
+  division.  The walk is ``laurent._walk``, beside the recursion steps it
+  repeats; the oracle takes one value from it.
 * ``cluster_variable`` assembles the expansion from the Dyck-path generating
   polynomial of x_n, n = max(index, 3 - index) >= 3, and mirrors it through
   ``swap_vars`` for indices <= 0.  Indices 1 and 2 return the generators.
@@ -92,11 +94,14 @@ def oracle(r: int, index: int, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Laur
     """Exact Laurent expansion of x_index: step index - 2 (or 1 - index) of one
     ``_walk``, the one value of the walk that is decoded.
 
-    Works for any r >= 1 and any integer index, in both directions.  A
-    non-exact division cannot happen (it would falsify the Laurent
-    phenomenon) and would surface as ``NonExactDivisionError``.  The largest
-    exponent, d(n) for r >= 2 and 1 for r = 1, is capped before the first step.
-    At r = 1 the sequence is five-periodic, so the walk takes at most five steps.
+    Works for any r >= 1 and any integer index, in both directions.  At
+    r != 2 each step divides, and a non-exact division cannot happen (it
+    would falsify the Laurent phenomenon) and would surface as
+    ``NonExactDivisionError``.  At r = 2 each step is K*x_m - x_{m-1}
+    (``laurent._affine_step``), with no division and so no such check.  The
+    largest exponent, d(n) for r >= 2 and 1 for r = 1, is capped before the
+    first step.  At r = 1 the sequence is five-periodic, so the walk takes at
+    most five steps.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")

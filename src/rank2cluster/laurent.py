@@ -12,12 +12,13 @@ are immutable after construction and all operations are pure, so instances
 are safe to share across threads.
 
 The ring kernel the recursion oracle runs on (``*``, ``**``, ``div_exact``
-and the recursion step ``_step``) works on rows, one per e1.  Rows multiply
-by Kronecker substitution on the exponent lattice: the e2 keys of each operand
-lie on lo + g*Z, g the gcd of their differences (r for every x_m of the
-recursion), so a row packs into one int with slot i holding the coefficient of
-lo + g*i, and a row times a row is one big-int multiply.  A packed row has a
-slot for every lattice point between its lowest and highest key.
+and the recursion steps ``_step`` and ``_affine_step``) works on rows, one
+per e1.  Rows multiply by Kronecker substitution on the exponent lattice:
+the e2 keys of each operand lie on lo + g*Z, g the gcd of their differences
+(r for every x_m of the recursion), so a row packs into one int with slot i
+holding the coefficient of lo + g*i, and a row times a row is one big-int
+multiply.  A packed row has a slot for every lattice point between its
+lowest and highest key.
 
 Between operations a value is carried (``carried._Carried``): its rows'
 slots in one bytes buffer at one slot size, which ``_rows_at`` moves to any
@@ -59,14 +60,14 @@ cannot be split.  So does Miller's recurrence: a two-point Miller step gained
 18 % at (7,6) but lost 4 % at (20,5) and 135 % at (20,-2).
 
 ``_step(prev, cur, r)`` is one recursion step, (cur**r + 1) / prev, from and
-to carried values, so ``_walk``, which repeats it, decodes nothing between
-steps.  The power's last product, the ``+ 1`` and the division run at one
-size fixed before the step, from a bound that needs no positivity: no
-coefficient of cur**k, k <= r, exceeds ||cur||_1^(r-1) * max|cur|, and
-``div_exact``'s first size adds bits(#prev) + 2.  So cur**r + 1 is packed
-once and never decoded, and the quotient keeps every safeguard of
-``div_exact``.  The power takes one of two paths, chosen from the rows of
-``cur`` alone:
+to carried values, so ``_walk``, which repeats it at every r but 2, decodes
+nothing between steps.  The power's last product, the ``+ 1`` and the
+division run at one size fixed before the step, from a bound that needs no
+positivity: no coefficient of cur**k, k <= r, exceeds ||cur||_1^(r-1) *
+max|cur|, and ``div_exact``'s first size adds bits(#prev) + 2.  So
+cur**r + 1 is packed once and never decoded, and the quotient keeps every
+safeguard of ``div_exact``.  The power takes one of two paths, chosen from
+the rows of ``cur`` alone:
 
 - Miller's recurrence (``_miller``) when r >= 2, the top row (largest e1, t)
   is one term c*x1^t*x2^a, and the rows below span J <= r steps of their e1
@@ -82,6 +83,11 @@ once and never decoded, and the quotient keeps every safeguard of
   with ``**``), every product but the last at its own slot size and carried
   to the next, none decoded; the last one, a square for an even r and a
   product with cur for an odd one, is summed packed at the step's size.
+
+At r = 2 the walk takes ``_affine_step(prev, cur)`` instead: K*cur - prev,
+with K = (x1^2 + x2^2 + 1) / (x1*x2) the invariant of the affine case, is
+shifts and adds of packed rows at one slot size, with no power and no
+division.  It is exact only along the walk from (x1, x2).
 
 Maps the package built canonical itself skip ``__init__``'s checks through
 the one trusted constructor, ``LaurentPoly2._canonical``.
@@ -673,18 +679,50 @@ def _step(prev: _Carried, cur: _Carried, r: int) -> _Carried:
     return _divide(pack, prev, g, power_bits, comb(cur.terms + r - 1, r) + 1)
 
 
+def _affine_step(prev: _Carried, cur: _Carried) -> _Carried:
+    """One recursion step at r = 2, K*cur - prev, carried, with
+    K = x1*x2^-1 + x1^-1*x2 + x1^-1*x2^-1: no power and no division.
+
+    Exact only along the walk from (x1, x2), in either direction, where
+    K = (x1^2 + x2^2 + 1) / (x1*x2) = (x_{m+1} + x_{m-1}) / x_m for every m:
+    subtracting x_{m+1}*x_{m-1} = x_m^2 + 1 from x_{m+2}*x_m = x_{m+1}^2 + 1
+    gives x_m*(x_{m+2} + x_m) = x_{m+1}*(x_{m+1} + x_{m-1}), so the ratio is
+    the same at every m, and K is symmetric in x1 and x2.
+
+    The rows of cur are packed from cur's lowest e2 less one, where the
+    x1/x2 and 1/(x1*x2) terms land on their own slots, and the x2/x1 term
+    2/g slots higher; prev's rows are subtracted.  Each output slot sums at
+    most four coefficients of cur and prev.
+    """
+    g = gcd(cur.g, prev.g, cur.base - 1 - prev.base, 2)
+    size = _slot_bytes(max(cur.bits, prev.bits), 4)
+    slot = 8 * size
+    base = min(cur.base - 1, prev.base)
+    up, rise = (cur.base - 1 - base) // g * slot, 2 // g * slot
+    acc: dict[int, int] = {}
+    for e1, at, value in _rows_at(cur, size, g):
+        value <<= at * slot + up
+        acc[e1 + 1] = acc.get(e1 + 1, 0) + value
+        acc[e1 - 1] = acc.get(e1 - 1, 0) + value + (value << rise)
+    up = (prev.base - base) // g * slot
+    for e1, at, value in _rows_at(prev, size, g):
+        acc[e1] = acc.get(e1, 0) - (value << at * slot + up)
+    return _carry_rows(sorted(acc.items()), base, g, size)
+
+
 def _walk(r: int, downward: bool) -> Iterator[_Carried]:
     """x_3, x_4, ... (x_0, x_-1, ... when ``downward``), one recursion step per
     value, each carried packed (``_decode`` turns one into a polynomial).
 
     Holds only the last two values.  Downward, x_{m-1} = (x_m^r + 1) / x_{m+1}:
     the same recursion started from (x2, x1) instead of (x1, x2).  Each step
-    is ``_step``, which packs x_m^r + 1 once and hands its quotient to the
-    next step still packed, so no value is decoded inside the walk.
+    is ``_affine_step`` at r = 2 and ``_step`` otherwise, which packs
+    x_m^r + 1 once; either hands its value to the next step still packed, so
+    no value is decoded inside the walk.
     """
     prev, cur = _carry({(1, 0): 1}), _carry({(0, 1): 1})  # x1, x2
     if downward:
         prev, cur = cur, prev
     while True:
-        prev, cur = cur, _step(prev, cur, r)
+        prev, cur = cur, _affine_step(prev, cur) if r == 2 else _step(prev, cur, r)
         yield cur

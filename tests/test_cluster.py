@@ -143,6 +143,7 @@ def test_cap_matrix_is_decided_from_d_n_before_any_work(monkeypatch):
 
     monkeypatch.setattr(cluster, "build_path", start)
     monkeypatch.setattr(laurent, "_step", start)
+    monkeypatch.setattr(laurent, "_affine_step", start)
     for r in range(2, 6):
         for index in range(-6, 9):
             n = _top(index)
@@ -351,15 +352,16 @@ def test_verify_range_sorted_rows():
 
 
 def _count_steps(monkeypatch):
-    """Count ``_step`` calls, one per recursion step."""
+    """Count ``_step`` and ``_affine_step`` calls, one per recursion step."""
     calls = []
-    step = laurent._step
+    for name in ("_step", "_affine_step"):
+        step = getattr(laurent, name)
 
-    def counting(prev, cur, r):
-        calls.append(1)
-        return step(prev, cur, r)
+        def counting(*args, step=step):
+            calls.append(1)
+            return step(*args)
 
-    monkeypatch.setattr(laurent, "_step", counting)
+        monkeypatch.setattr(laurent, name, counting)
     return calls
 
 
@@ -405,7 +407,8 @@ def test_the_walk_decodes_only_the_values_that_leave_it(monkeypatch):
 
 
 # SHA-256 of repr(sorted(terms.items())) of the oracle's value, computed with
-# the recursion step that decoded every x_m into a term map.
+# the recursion step that decoded every x_m into a term map; (2, 100) and
+# (2, -97) with the division step ``_step``, before r = 2 took ``_affine_step``.
 ORACLE_HASHES = {
     (3, 8): "ada5835ed22c06ac0ace79cb9a0578dab329696ec170cd9c45b13096631a0849",
     (2, 30): "8ae708a37150547acdd4917b1f3c210628edfefbf4a9dc0738afed096e9c4a18",
@@ -416,6 +419,8 @@ ORACLE_HASHES = {
     (4, 7): "e1fc5187c3f589bba8315b3592f7402508b5ca703dbd0a91c3d35b0bac0d015c",
     (7, 6): "6e4cf46427eee6b6b6aae0bc8cd04e4057c1bdd91fbddc783c808bbc4e959353",
     (1, 1000): "eb49812049888f1312c09d48aa8cc038ee2516471c2033e7ec7fa4930144d099",
+    (2, 100): "4e156f888f0ad667ff8746e29428d4ec9de1a9c078c2ba69312974256d508b40",
+    (2, -97): "69b57f03fc58353cc87ee1b5597e479c50d2040ac87da10cdd1fd36502184067",
 }
 
 

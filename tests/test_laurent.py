@@ -872,3 +872,30 @@ def test_walk_matches_the_reference_recursion(r, steps, downward):
     for value in islice(_walk(r, downward), steps):
         prev, cur = cur, reference_div_exact(reference_pow(cur, r) + 1, prev)
         assert laurent._decode(value) == cur
+
+
+_K2 = LaurentPoly2({(1, -1): 1, (-1, 1): 1, (-1, -1): 1})
+
+
+@settings(deadline=None)
+@given(nonzero_kernel_polys, nonzero_kernel_polys)
+# The lowest e2 of cur less one and that of prev lie an odd distance apart.
+@example(X1, X1)
+def test_affine_step_is_k_times_cur_minus_prev(prev, cur):
+    # Exact for any operands, signed and on any lattices; only along the
+    # walk does it equal the division step.
+    step = laurent._affine_step(carried._carry(prev.terms), carried._carry(cur.terms))
+    assert laurent._decode(step) == reference_mul(_K2, cur) - prev
+
+
+@pytest.mark.parametrize("downward", [False, True])
+def test_the_r2_walk_matches_the_division_step(monkeypatch, downward):
+    # At r = 2 the walk takes K*x_m - x_{m-1} and never the division step;
+    # each value equals (x_m**2 + 1) / x_{m-1} on the two before it, up to
+    # x_60 and down to x_-60.
+    values = [X2, X1] if downward else [X1, X2]
+    with monkeypatch.context() as patch:
+        patch.setattr(laurent, "_step", _refuse)
+        values += map(laurent._decode, islice(_walk(2, downward), 61 if downward else 58))
+    for prev, cur, value in zip(values, values[1:], values[2:]):
+        assert _exchange(prev, cur, 2) == value
